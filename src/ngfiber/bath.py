@@ -9,6 +9,7 @@ accumulated phase filter 2 sin^2(omega tau / 2) / omega^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .errors import (
 )
 
 DEFAULT_GIBBS_TAIL_TOL = 1e-12
+_MAX_PANELS = 2**20  # quadrature refuses more: 32-node panels, 256 MiB per float64 array
+_gauss_legendre = functools.cache(leggauss)  # the quadrature's two orders; 0.8 ms to rebuild
 
 
 @dataclass
@@ -52,6 +55,14 @@ class BathSpec:
         return math.exp(-HBAR * self.omega_phonon / (K_B * self.temperature))
 
 
+def _gibbs_levels(bath: BathSpec):
+    """(q, s_max): Boltzmann ratio and the smallest cut with q^(s_max+1) < gibbs_tail_tol."""
+    q = bath.boltzmann_ratio()
+    if q == 0.0:
+        return q, 0
+    return q, max(0, math.ceil(math.log(bath.gibbs_tail_tol) / math.log(q)) - 1)
+
+
 def gibbs_weights(bath: BathSpec):
     """Thermal occupation probabilities p_s, truncated and renormalized.
 
@@ -60,10 +71,7 @@ def gibbs_weights(bath: BathSpec):
     cut keeps the neglected mass below gibbs_tail_tol; weights are rescaled
     to sum to one exactly.
     """
-    q = bath.boltzmann_ratio()
-    if q == 0.0:
-        return np.array([1.0]), 0
-    s_max = max(0, math.ceil(math.log(bath.gibbs_tail_tol) / math.log(q)) - 1)
+    q, s_max = _gibbs_levels(bath)
     s = np.arange(s_max + 1)
     w = (1.0 - q) * q ** s
     w /= w.sum()
@@ -134,29 +142,30 @@ def _coth_factor(omega: np.ndarray, temperature: float) -> np.ndarray:
     if temperature == 0.0:
         return 2.0 * omega
     y = HBAR * omega / (2.0 * K_B * temperature)
-    out = np.empty_like(omega)
     small = y < 1e-6
-    ys = y[small]
+    out = np.tanh(y)
+    np.divide(2.0 * omega, out, out=out, where=~small)
+    # second-order small-y correction is y^2/3 relative, < 1e-12 here
     out[small] = 4.0 * K_B * temperature / HBAR + HBAR * omega[small] ** 2 / (
         3.0 * K_B * temperature
     )
-    # second-order small-y correction is y^2/3 relative, < 1e-12 here
-    big = ~small
-    out[big] = 2.0 * omega[big] / np.tanh(y[big])
     return out
 
 
 def _panel_integral(f, upper: float, width: float, order: int) -> float:
     """Composite Gauss-Legendre integral of f over [0, upper] in fixed panels."""
-    nodes, weights = leggauss(order)
     n_panels = max(1, int(math.ceil(upper / width)))
+    if n_panels > _MAX_PANELS:
+        raise QuadratureNonConvergence(f"{n_panels} quadrature panels exceed {_MAX_PANELS}")
+    nodes, weights = _gauss_legendre(order)
     edges = np.linspace(0.0, upper, n_panels + 1)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half[:, None] * weights[None, :] * vals))
+    terms = f(pts.ravel()).reshape(pts.shape)
+    terms *= half[:, None] * weights[None, :]
+    return float(np.sum(terms))
 
 
 def dissipation_rate_quadrature(bath: BathSpec, tau_l: float) -> float:
@@ -176,11 +185,10 @@ def dissipation_rate_quadrature(bath: BathSpec, tau_l: float) -> float:
     temp = bath.temperature
 
     def integrand(omega):
-        return (
-            _coth_factor(omega, temp)
-            * np.exp(-omega / wc)
-            * np.sin(0.5 * omega * tau_l) ** 2
-        )
+        out = _coth_factor(omega, temp)
+        out *= np.exp(-omega / wc)
+        out *= np.sin(0.5 * omega * tau_l) ** 2
+        return out
 
     # extend the window until the analytic tail bound is negligible:
     # integrand <= 2 omega coth(...) exp(-omega/wc), whose tail integral

@@ -1,11 +1,12 @@
 """Decoherence channels for manifold states riding a fiber segment.
 
-The collective coupling splits into a sum and a difference of the two mode
-numbers.  On the |n, n+p> manifold the difference is the constant -p, so its
-coupling contributes only a global phase (this is the protected-subspace
-property; gamma_minus is therefore accepted but never changes the state).
-The sum 2n + p drives thermal dephasing between manifold indices, and
-segment-length fluctuations add a Gaussian decay in (n - m).
+On the |n, n+p> manifold the difference n_a - n_b of the collective coupling
+is the constant -p, so it adds only a global phase (the protected-subspace
+property: gamma_minus is accepted but never changes the state).  Free evolution
+adds the phase phi_n = exp(-i tau_l omega_total n), the sum coupling 2n + p a
+thermal dephasing, and segment-length fluctuations a Gaussian decay, so every
+channel maps c_n c_m^* to phi_n c_n (phi_m c_m)^* d_{n-m}, with one coherence
+factor d_k (thermal mean times decay) that depends only on k = n - m.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import numpy as np
 
 from .bath import (
     BathSpec,
+    _gibbs_levels,
     dissipation_rate_closed,
     dissipation_rate_quadrature,
-    gibbs_weights,
 )
 from .errors import ParameterError, ZeroFrequency
 from .states import ManifoldDensityMatrix, NonGaussianState
-
-EXP_CLAMP = 700.0  # beyond this the decay factor underflows; clamp to 0
 
 
 @dataclass
@@ -54,12 +53,44 @@ class ChannelParams:
 
 
 def _thermal_phase_means(n_max: int, params: ChannelParams, bath: BathSpec) -> np.ndarray:
-    """d[k] = sum_s p_s exp(-2 i tau_l gamma_plus s k) for k = 0..n_max."""
-    w, s_max = gibbs_weights(bath)
-    s = np.arange(s_max + 1)
-    k = np.arange(n_max + 1)
-    phases = np.exp(-2j * params.tau_l * params.gamma_plus * np.outer(k, s))
-    return phases @ w
+    """d[k] = sum_{s<=S} p_s exp(-2 i tau_l gamma_plus s k) for k = 0..n_max.
+
+    With the weights of gibbs_weights (cut at S = s_max, renormalized) this is
+    a geometric sum: d_k = (1-q)(1-(q z)^(S+1)) / ((1-q^(S+1))(1-q z)) with
+    z = exp(-2 i tau_l gamma_plus k); each 1 - e^(..) is an expm1, exact as q, z -> 1.
+    """
+    q, s_max = _gibbs_levels(bath)
+    if q == 0.0:
+        return np.ones(n_max + 1, dtype=complex)
+    beta, levels = -math.log(q), s_max + 1
+    phi = 2.0 * params.tau_l * params.gamma_plus * np.arange(n_max + 1)
+    one_q = -math.expm1(-beta)
+    numer = one_q * -np.expm1(-levels * (beta + 1j * phi))
+    return numer / (-math.expm1(-levels * beta) * (one_q - q * np.expm1(-1j * phi)))
+
+
+def _negativity(state: NonGaussianState, factors: np.ndarray) -> float:
+    """2 sum_{k>=1} |factors_k| A_k, with A_k = sum_n |c_n||c_{n+k}|."""
+    a = np.abs(state.coeffs)
+    return 2.0 * float(np.dot(np.abs(factors[1:]), np.correlate(a, a, "full")[state.n_max + 1 :]))
+
+
+def _manifold_rho(
+    state: NonGaussianState, params: ChannelParams, factors: np.ndarray, validate: bool
+) -> ManifoldDensityMatrix:
+    """rho_nm = psi_n psi_m^* factors_{n-m}, psi_n = phi_n c_n, factors_{-k} = factors_k^*.
+
+    phi enters as a diagonal unitary, not as a function of n - m, so rho stays a
+    Schur product of positive matrices however tau_l omega_total n rounds.
+    """
+    n = np.arange(state.n_max + 1)
+    psi = np.exp(-1j * (params.tau_l * params.omega_total) * n) * state.coeffs
+    full = np.concatenate([factors[::-1], factors[1:].conj()])  # full[n_max - k] = factors_k
+    toeplitz = np.lib.stride_tricks.sliding_window_view(full, state.n_max + 1)[::-1]
+    out = ManifoldDensityMatrix(state.p, state.n_max, np.outer(psi, psi.conj()) * toeplitz)
+    if validate:
+        out.validate()
+    return out
 
 
 def evolve_dephasing(
@@ -72,33 +103,22 @@ def evolve_dephasing(
     visibility.  gamma_minus does not appear: the difference coupling is
     constant on the manifold and cancels between bra and ket.
     """
-    c = state.coeffs
-    n = np.arange(state.n_max + 1)
-    dn = n[:, None] - n[None, :]
-    d = _thermal_phase_means(state.n_max, params, bath)
-    dmat = np.where(dn >= 0, d[np.abs(dn)], np.conj(d[np.abs(dn)]))
-    phase = np.exp(-1j * params.tau_l * params.omega_total * dn)
-    rho = np.outer(c, c.conj()) * phase * dmat
-    out = ManifoldDensityMatrix(state.p, state.n_max, rho)
-    if validate:
-        out.validate()
-    return out
+    return _manifold_rho(state, params, _thermal_phase_means(state.n_max, params, bath), validate)
 
 
 def fidelity(state: NonGaussianState, params: ChannelParams, bath: BathSpec) -> float:
     """Overlap <psi| rho(tau_l) |psi> after thermal dephasing.
 
     Equals sum_s p_s |sum_n |c_n|^2 exp(-i tau_l n (omega_total +
-    2 gamma_plus s))|^2; bounded by 1, reaching it whenever every relative
-    phase winds by a multiple of 2 pi.
+    2 gamma_plus s))|^2 = B_0 + 2 sum_{k>=1} B_k Re(phi_k d_k), B the
+    autocorrelation of |c|^2; bounded by 1, reaching it whenever every
+    relative phase winds by a multiple of 2 pi.
     """
-    w, s_max = gibbs_weights(bath)
-    s = np.arange(s_max + 1)
-    n = np.arange(state.n_max + 1)
-    weights = np.abs(state.coeffs) ** 2
-    chi = params.omega_total + 2.0 * params.gamma_plus * s  # per thermal level
-    inner = np.exp(-1j * params.tau_l * np.outer(chi, n)) @ weights
-    f = float(np.sum(w * np.abs(inner) ** 2))
+    w = np.abs(state.coeffs) ** 2
+    b = np.correlate(w, w, "full")[state.n_max :]
+    d = np.exp(-1j * (params.tau_l * params.omega_total) * np.arange(state.n_max + 1))
+    d *= _thermal_phase_means(state.n_max, params, bath)
+    f = float(b[0] + 2.0 * np.dot(b[1:], d[1:].real))
     return min(max(f, 0.0), 1.0)
 
 
@@ -135,27 +155,20 @@ def negativity_after_dephasing(
     at x = tau_l gamma_plus.  Uses the same truncated Gibbs weights as
     evolve_dephasing, so it matches the dense eigensolver route exactly.
     """
-    a = np.abs(state.coeffs)
-    d = _thermal_phase_means(state.n_max, params, bath)
-    v = np.abs(d)
-    total = 0.0
-    for k in range(1, state.n_max + 1):
-        total += 2.0 * v[k] * float(np.sum(a[:-k] * a[k:]))
-    return total
+    return _negativity(state, _thermal_phase_means(state.n_max, params, bath))
 
 
-def _decay_factors(n_max: int, gamma: float, epsilon: float) -> np.ndarray:
-    """exp(-4 epsilon^2 gamma k^2) for k = 0..n_max, with underflow clamped to 0."""
-    k = np.arange(n_max + 1, dtype=float)
-    exponent = 4.0 * epsilon * epsilon * gamma * k * k
-    out = np.where(exponent > EXP_CLAMP, 0.0, np.exp(-np.minimum(exponent, EXP_CLAMP)))
-    return out
-
-
-def _dissipation_gamma(params: ChannelParams, bath: BathSpec) -> float:
+def _dissipative_factors(
+    state: NonGaussianState, params: ChannelParams, bath: BathSpec
+) -> np.ndarray:
+    """Thermal means times exp(-4 epsilon^2 Gamma k^2); Gamma by quadrature when T > 0."""
     if bath.temperature == 0.0:
-        return dissipation_rate_closed(bath.omega_c, params.tau_l)
-    return dissipation_rate_quadrature(bath, params.tau_l)
+        gamma = dissipation_rate_closed(bath.omega_c, params.tau_l)
+    else:
+        gamma = dissipation_rate_quadrature(bath, params.tau_l)
+    k = np.arange(state.n_max + 1, dtype=float)
+    decay = np.exp(-(4.0 * params.epsilon * params.epsilon * gamma * k * k))
+    return decay * _thermal_phase_means(state.n_max, params, bath)
 
 
 def evolve_with_dissipation(
@@ -168,16 +181,7 @@ def evolve_with_dissipation(
     zero-temperature rate when T = 0 and from quadrature otherwise.  The
     diagonal is preserved.
     """
-    base = evolve_dephasing(state, params, bath, validate=False)
-    gamma = _dissipation_gamma(params, bath)
-    decay = _decay_factors(state.n_max, gamma, params.epsilon)
-    n = np.arange(state.n_max + 1)
-    dn = np.abs(n[:, None] - n[None, :])
-    rho = base.rho * decay[dn]
-    out = ManifoldDensityMatrix(state.p, state.n_max, rho)
-    if validate:
-        out.validate()
-    return out
+    return _manifold_rho(state, params, _dissipative_factors(state, params, bath), validate)
 
 
 def negativity_dissipative(
@@ -199,13 +203,4 @@ def negativity_dissipative(
             "the plain dissipative series is a T = 0 result; pass combined=True "
             "to fold in thermal visibilities"
         )
-    a = np.abs(state.coeffs)
-    gamma = _dissipation_gamma(params, bath)
-    decay = _decay_factors(state.n_max, gamma, params.epsilon)
-    if combined and bath.temperature > 0.0:
-        v = np.abs(_thermal_phase_means(state.n_max, params, bath))
-        decay = decay * v
-    total = 0.0
-    for k in range(1, state.n_max + 1):
-        total += 2.0 * decay[k] * float(np.sum(a[:-k] * a[k:]))
-    return total
+    return _negativity(state, _dissipative_factors(state, params, bath))

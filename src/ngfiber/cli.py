@@ -178,7 +178,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = validate_mod.run(level=args.level, seed=args.seed)
+    results = validate_mod.run(level=args.level)
     for res in results:
         status = "ok" if res.passed else "FAIL"
         sys.stdout.write(f"check {res.name}: {status} ({res.detail})\n")
@@ -266,7 +266,6 @@ def cmd_sweep(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--out", required=out_required, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--emit-plot-script",
         action="store_true",

@@ -164,7 +164,7 @@ def _check_bb_identities() -> CheckResult:
     return CheckResult("bb-raman-conjugation", worst <= 1e-13, f"max-norm = {worst:.3e}")
 
 
-def _check_bb_suppression(seed: int = 0) -> CheckResult:
+def _check_bb_suppression() -> CheckResult:
     space, bath = _bb_demo_setup()
     state = build_state(1, 0.35, n_max=1)
     psi0 = bb.joint_initial_state(state, space, bath)
@@ -210,13 +210,10 @@ FAST_CHECKS = (
 FULL_CHECKS = FAST_CHECKS + (_check_bb_identities, _check_bb_suppression)
 
 
-def run(level: str = "fast", seed: int = 0):
+def run(level: str = "fast"):
     """Run the consistency suite; returns a list of CheckResult."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
-    results = []
-    for check in checks:
-        res = check(seed) if check is _check_bb_suppression else check()
-        results.append(CheckResult(res.name, bool(res.passed), res.detail))
-    return results
+    results = [check() for check in checks]
+    return [CheckResult(r.name, bool(r.passed), r.detail) for r in results]

@@ -1,14 +1,24 @@
 """Dephasing and dissipation channels on the fixed-offset manifold."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ngfiber.bath import BathSpec
+from ngfiber.bath import (
+    BathSpec,
+    dissipation_rate_closed,
+    dissipation_rate_quadrature,
+    gibbs_weights,
+    visibility_direct,
+)
 from ngfiber.channel import (
     ChannelParams,
+    _thermal_phase_means,
     evolve_dephasing,
     evolve_with_dissipation,
     fidelity,
@@ -212,3 +222,106 @@ def test_dissipation_preserves_diagonal():
         np.diag(rho.rho).real, np.abs(state.coeffs) ** 2, rtol=0, atol=1e-14
     )
     rho.validate()
+
+
+def coherence_magnitudes(state, bath, x, decay_rate=0.0):
+    """|c_n||c_m| v_|n-m| exp(-decay_rate (n-m)^2), v from the direct Gibbs sum."""
+    a = np.abs(state.coeffs)
+    k = np.abs(np.subtract.outer(np.arange(state.n_max + 1), np.arange(state.n_max + 1)))
+    v = np.array([1.0] + [visibility_direct(bath, x, j) for j in range(1, state.n_max + 1)])
+    return np.outer(a, a) * v[k] * np.exp(-decay_rate * k * k)
+
+
+def test_dephasing_at_telecom_frequency_stays_positive():
+    # tau_l omega_total (n - m) reaches 1e9 rad here; its rounding must not
+    # break the rank-one structure of this nearly pure state
+    state = build_state(1, 0.618, n_max=10)
+    bath = warm_bath(0.129)
+    pars = params(4.1e-8, gamma_plus=6.9e8)
+    rho = evolve_dephasing(state, pars, bath)
+    assert np.linalg.eigvalsh(rho.rho)[0] > -1e-14
+    expected = coherence_magnitudes(state, bath, 4.1e-8 * 6.9e8)
+    assert_allclose(np.abs(rho.rho), expected, rtol=0, atol=1e-14)
+
+
+def test_dissipation_at_telecom_frequency_stays_positive():
+    # the same rounding, through the dissipative assembly at x = 180
+    x = 180.0
+    tau_l = x / WC
+    bath = warm_bath(0.054)
+    epsilon = math.sqrt(0.01 / (4.0 * dissipation_rate_closed(WC, tau_l)))
+    state = build_state(3, 0.63)
+    rho = evolve_with_dissipation(state, params(tau_l, 2e7, epsilon), bath)
+    assert np.linalg.eigvalsh(rho.rho)[0] > -1e-14
+    rate = 4.0 * epsilon**2 * dissipation_rate_quadrature(bath, tau_l)
+    expected = coherence_magnitudes(state, bath, tau_l * 2e7, rate)
+    assert_allclose(np.abs(rho.rho), expected, rtol=0, atol=1e-14)
+
+
+# log-uniform over T = 1 mK - 300 K and x = tau_l gamma_plus = 1e-3 - 1e5
+temperatures = st.floats(min_value=-3.0, max_value=math.log10(300.0)).map(lambda e: 10.0**e)
+xs = st.floats(min_value=-3.0, max_value=5.0).map(lambda e: 10.0**e)
+
+
+def phase_rounding_tol(bath, phase, phase_per_level):
+    """Rounding bound for sum_s p_s exp(-i (phase + phase_per_level s)).
+
+    A phase argument of size P carries a rounding error of about eps P, so a
+    Gibbs average is good to eps times the phase at the mean level n_bar.
+    """
+    q = bath.boltzmann_ratio()
+    n_bar = q / (1.0 - q)
+    return 1e-12 + 4.0 * np.finfo(float).eps * (phase + phase_per_level * (n_bar + 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(temperatures, xs, st.integers(min_value=0, max_value=24))
+def test_thermal_means_match_direct_gibbs_sum(temp, x, n_max):
+    bath = warm_bath(temp)
+    w, s_max = gibbs_weights(bath)
+    k = np.arange(n_max + 1)
+    direct = np.exp(-2j * x * np.outer(k, np.arange(s_max + 1))) @ w
+    closed = _thermal_phase_means(n_max, params(1e-7, gamma_plus=x / 1e-7), bath)
+    tol = phase_rounding_tol(bath, 0.0, 2.0 * x * n_max)
+    assert np.max(np.abs(closed - direct)) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    temperatures,
+    xs,
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.05, max_value=0.6),
+    st.floats(min_value=0.0, max_value=1e3),
+)
+def test_fidelity_matches_level_by_level_sum(temp, x, p, zeta, tau_omega):
+    tau_l = 1e-7
+    state = build_state(p, zeta)
+    bath = warm_bath(temp)
+    pars = ChannelParams(tau_omega / tau_l, 0.0, x / tau_l, 0.0, tau_l)
+    w, s_max = gibbs_weights(bath)
+    weights = np.abs(state.coeffs) ** 2
+    n = np.arange(state.n_max + 1)
+    chi = pars.omega_total + 2.0 * pars.gamma_plus * np.arange(s_max + 1)
+    direct = float(np.sum(w * np.abs(np.exp(-1j * tau_l * np.outer(chi, n)) @ weights) ** 2))
+    n_mean = float(np.sum(n * weights))
+    tol = phase_rounding_tol(bath, 2.0 * tau_omega * (n_mean + 1.0), 4.0 * x * (n_mean + 1.0))
+    assert abs(fidelity(state, pars, bath) - direct) <= tol
+
+
+def test_heavy_corner_runs_in_bounded_memory():
+    # zeta = 0.99 (n_max 1946) at 300 K (41 422 Gibbs levels): an
+    # n_max x s_max matrix would take gigabytes
+    state = build_state(1, 0.99)
+    bath = warm_bath(300.0)
+    pars = params(1e-7, gamma_plus=7.3e9)
+    tracemalloc.start()
+    try:
+        neg = negativity_after_dephasing(state, pars, bath)
+        fid = fidelity(state, pars, bath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert 0.0 < neg < negativity_analytic(state)
+    assert 0.0 <= fid <= 1.0

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from ngfiber import cli
+from ngfiber.design import silica_preset
 from ngfiber.errors import TruncationTooSmall
 from ngfiber.negativity import negativity_analytic
 from ngfiber.states import build_state
@@ -183,6 +184,12 @@ def test_numerical_failures_exit_three(monkeypatch, tmp_path):
     assert run_cli("fig1", "--out", str(tmp_path / "x.csv")) == 3
 
 
+def test_seed_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fig1", "--out", str(tmp_path / "x.csv"), "--seed", "1")
+    assert exc.value.code == 2
+
+
 def sweep_config(tmp_path, text, name="sweep.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -272,3 +279,24 @@ def test_sweep_error_paths(tmp_path):
 def test_unwritable_output_exits_two(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli("fig1", "--out", str(missing_dir), "--steps", "3") == 2
+
+
+def test_sweep_refuses_oversized_quadrature(tmp_path, capsys):
+    _, bath, params = silica_preset()
+    cfg = sweep_config(
+        tmp_path,
+        f"""
+[fixed]
+temperature = {bath.temperature!r}
+omega_a = {params.omega_a!r}
+omega_b = {params.omega_b!r}
+tau_l = {params.tau_l!r}
+epsilon = {params.epsilon!r}
+[grid]
+zeta = 0.5
+[output]
+observables = negativity_dissipative
+""",
+    )
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
+    assert "panels exceed" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ngfiber.bath import dissipation_rate_closed
+from ngfiber.channel import negativity_dissipative
 from ngfiber.constants import C_LIGHT, HBAR, K_B
 from ngfiber.design import (
     FiberSpec,
@@ -15,7 +16,8 @@ from ngfiber.design import (
     silica_preset,
     transit_time,
 )
-from ngfiber.errors import MissingSpacing, ParameterError
+from ngfiber.errors import MissingSpacing, ParameterError, QuadratureNonConvergence
+from ngfiber.states import build_state
 
 
 def km_link(**overrides) -> FiberSpec:
@@ -137,3 +139,11 @@ def test_silica_preset_numbers():
     assert params.omega_a == params.omega_b == 1.216e15
     assert params.tau_l == transit_time(fiber)
     assert params.epsilon == segment_time(fiber)
+
+
+def test_silica_preset_finite_temperature_rate_is_refused():
+    # x = omega_c tau_l = 1.4e5 needs 6.2 M quadrature panels; the quadrature
+    # refuses before it allocates them
+    _, bath, params = silica_preset()
+    with pytest.raises(QuadratureNonConvergence):
+        negativity_dissipative(build_state(1, 0.5), params, bath, combined=True)
