@@ -7,12 +7,13 @@ dephase, and periodic quarter-cycle phase shifters flip the sign of the
 pair-exchange coupling so its effect cancels over successive segments.
 Modules: fock (dense two-mode linear algebra), states (manifold states),
 negativity (PPT entanglement measures), bath (thermal weights and Ohmic
-dissipation integrals), channel (dephasing and fluctuation decay), bangbang
+dissipation rates), channel (dephasing and fluctuation decay), bangbang
 (brute-force pulse simulation), design (spacing bounds), cli.
 """
 
 from .bath import (
     BathSpec,
+    dissipation_rate,
     dissipation_rate_closed,
     dissipation_rate_quadrature,
     gibbs_weights,
@@ -70,6 +71,7 @@ __all__ = [
     "PptSpectrum",
     "annihilation",
     "build_state",
+    "dissipation_rate",
     "dissipation_rate_closed",
     "dissipation_rate_quadrature",
     "embed",

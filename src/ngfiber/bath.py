@@ -1,10 +1,12 @@
-"""Thermal phonon statistics and Ohmic-bath dissipation integrals.
+"""Thermal phonon statistics and Ohmic-bath dissipation rates.
 
 Two bath effects enter the fiber channel: a thermally weighted phase spread
 (captured by visibility factors over the Gibbs distribution of a
-representative phonon mode) and a dissipative decay rate obtained by
-integrating an Ohmic memory kernel with exponential cutoff against the
-accumulated phase filter 2 sin^2(omega tau / 2) / omega^2.
+representative phonon mode) and a dissipative decay rate, the integral of an
+Ohmic memory kernel with exponential cutoff against the accumulated phase
+filter 2 sin^2(omega tau / 2) / omega^2.  The rate is evaluated in closed
+form at any temperature (dissipation_rate); the panel quadrature of the
+integral (dissipation_rate_quadrature) is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ from .errors import (
 DEFAULT_GIBBS_TAIL_TOL = 1e-12
 _MAX_PANELS = 2**20  # quadrature refuses more: 32-node panels, 256 MiB per float64 array
 _gauss_legendre = functools.cache(leggauss)  # the quadrature's two orders; 0.8 ms to rebuild
+_RATE_HEAD = 16  # reduced-cutoff terms summed directly before the trigamma tail
+# psi'(z) ~ sum_m _TRIGAMMA_COEFFS[m-1] / z^m = 1/z + 1/(2 z^2) + sum_j B_2j / z^(2j+1), with
+# B_2 .. B_16; at Re z >= _RATE_HEAD the first term left out, B_18 / z^19, is below 1e-21
+_TRIGAMMA_COEFFS = np.array(
+    [1, 1 / 2, 1 / 6, 0, -1 / 30, 0, 1 / 42, 0, -1 / 30, 0, 5 / 66, 0, -691 / 2730, 0, 7 / 6, 0,
+     -3617 / 510]
+)
 
 
 @dataclass
@@ -132,6 +141,47 @@ def dissipation_rate_closed(omega_c: float, tau_l: float) -> float:
     return omega_c * omega_c * x2 * (3.0 + x2) / (1.0 + x2) ** 2
 
 
+def _power_gap(m, w, v):
+    """w^-m - Re (w - i v)^-m for w > 0, without cancellation.
+
+    With t = v / w and theta = atan t, (w - i v)^-m = w^-m cos^m(theta) e^(i m theta),
+    so the gap is w^-m [(1 - cos^m theta) + cos^m theta (1 - cos m theta)]: two
+    non-negative terms, the first an expm1 and the second a squared sine.
+    """
+    t = v / w
+    theta = np.arctan(t)
+    radial = -np.expm1(-0.5 * m * np.log1p(t * t))
+    angular = np.cos(theta) ** m * 2.0 * np.sin(0.5 * m * theta) ** 2
+    return w ** -m * (radial + angular)
+
+
+def dissipation_rate(bath: BathSpec, tau_l: float) -> float:
+    """Dissipation rate at the bath temperature, in closed form.
+
+    Expanding coth(y) = 1 + 2 sum_{k>=1} e^(-2ky) in the spectral integral
+    turns each term into the zero-temperature rate at a reduced cutoff
+    omega_c,k = 1 / (1/omega_c + k hbar / kB T):
+
+        Gamma(T) = Gamma_0(omega_c) + 2 sum_{k>=1} Gamma_0(omega_c,k).
+
+    With theta_T = kB T / hbar, u = theta_T / omega_c and v = theta_T tau_l,
+    term k is theta_T^2 [(u+k)^-2 - Re (u+k - i v)^-2], non-negative.  The
+    first terms are summed directly; the rest, from k = _RATE_HEAD on, is
+    psi'(w) - Re psi'(w - i v) at w = u + _RATE_HEAD, evaluated from the
+    trigamma asymptotic series one power gap at a time.  O(1) cost at any
+    omega_c tau_l; at T = 0 it is dissipation_rate_closed.  Units rad^2/s^2.
+    """
+    rate0 = dissipation_rate_closed(bath.omega_c, tau_l)
+    if bath.temperature == 0.0:
+        return rate0
+    theta_t = K_B * bath.temperature / HBAR
+    u, v = theta_t / bath.omega_c, theta_t * tau_l
+    head = _power_gap(2, u + np.arange(1, _RATE_HEAD), v).sum()
+    m = np.arange(1, len(_TRIGAMMA_COEFFS) + 1)
+    tail = np.dot(_TRIGAMMA_COEFFS, _power_gap(m, u + _RATE_HEAD, v))
+    return rate0 + 2.0 * theta_t * theta_t * float(head + tail)
+
+
 def _coth_factor(omega: np.ndarray, temperature: float) -> np.ndarray:
     """2 omega coth(hbar omega / 2 kB T), with the omega -> 0 limit analytic.
 
@@ -176,6 +226,9 @@ def dissipation_rate_quadrature(bath: BathSpec, tau_l: float) -> float:
     kept narrower than both the cutoff scale and a quarter oscillation
     pi / (4 tau_l); the upper limit is extended until the exponential tail is
     negligible, and two quadrature orders must agree or the routine raises.
+    The panel count grows as omega_c tau_l and is capped at _MAX_PANELS, so
+    this is an independent check of dissipation_rate at moderate x, not a
+    route the channels use.
     """
     if tau_l < 0:
         raise ParameterError("tau_l must be >= 0")

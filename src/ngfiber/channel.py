@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import (
-    BathSpec,
-    _gibbs_levels,
-    dissipation_rate_closed,
-    dissipation_rate_quadrature,
-)
+from .bath import BathSpec, _gibbs_levels, dissipation_rate
 from .errors import ParameterError, ZeroFrequency
 from .states import ManifoldDensityMatrix, NonGaussianState
 
@@ -161,11 +156,8 @@ def negativity_after_dephasing(
 def _dissipative_factors(
     state: NonGaussianState, params: ChannelParams, bath: BathSpec
 ) -> np.ndarray:
-    """Thermal means times exp(-4 epsilon^2 Gamma k^2); Gamma by quadrature when T > 0."""
-    if bath.temperature == 0.0:
-        gamma = dissipation_rate_closed(bath.omega_c, params.tau_l)
-    else:
-        gamma = dissipation_rate_quadrature(bath, params.tau_l)
+    """Thermal means times exp(-4 epsilon^2 Gamma k^2), Gamma the closed-form rate at bath T."""
+    gamma = dissipation_rate(bath, params.tau_l)
     k = np.arange(state.n_max + 1, dtype=float)
     decay = np.exp(-(4.0 * params.epsilon * params.epsilon * gamma * k * k))
     return decay * _thermal_phase_means(state.n_max, params, bath)
@@ -177,9 +169,8 @@ def evolve_with_dissipation(
     """Dephasing plus Gaussian coherence decay from timing fluctuations.
 
     Multiplies the dephased matrix elementwise by
-    exp(-4 epsilon^2 Gamma(tau_l) (n-m)^2), with Gamma from the closed
-    zero-temperature rate when T = 0 and from quadrature otherwise.  The
-    diagonal is preserved.
+    exp(-4 epsilon^2 Gamma(tau_l) (n-m)^2), with Gamma the closed-form
+    dissipation rate at the bath temperature.  The diagonal is preserved.
     """
     return _manifold_rho(state, params, _dissipative_factors(state, params, bath), validate)
 
@@ -195,8 +186,8 @@ def negativity_dissipative(
     The default is the zero-temperature branch
     N = sum_{n != m} |c_n||c_m| exp(-4 epsilon^2 Gamma (n-m)^2) and requires
     bath.temperature == 0.  With combined=True the thermal visibility factors
-    are multiplied in as well (and Gamma switches to the quadrature rate),
-    matching evolve_with_dissipation at T > 0.
+    are multiplied in as well (and Gamma becomes the finite-temperature
+    rate), matching evolve_with_dissipation at T > 0.
     """
     if bath.temperature > 0.0 and not combined:
         raise ParameterError(

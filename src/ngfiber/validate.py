@@ -2,9 +2,10 @@
 
 Every quantity with two independent computation routes is compared here:
 series against dense eigensolver, closed forms against direct summation or
-quadrature, and the pulse-sequence identities against brute-force matrix
-algebra.  A failed check means the two routes disagree beyond the pinned
-tolerance, which should never survive a correct change.
+quadrature (the finite-temperature dissipation rate at level full), and the
+pulse-sequence identities against brute-force matrix algebra.  A failed
+check means the two routes disagree beyond the pinned tolerance, which
+should never survive a correct change.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from . import bangbang as bb
 from .bath import (
     BathSpec,
+    dissipation_rate,
     dissipation_rate_closed,
     dissipation_rate_quadrature,
     visibility_closed,
@@ -76,6 +78,20 @@ def _check_dissipation_routes() -> CheckResult:
         worst = max(worst, abs(quad - closed) / closed)
     return CheckResult(
         "dissipation-quadrature-vs-closed", worst <= 1e-6, f"max rel diff = {worst:.3e}"
+    )
+
+
+def _check_dissipation_thermal_routes() -> CheckResult:
+    omega_c = 2.62e10
+    worst = 0.0
+    for temp in (0.2, 4.0):
+        bath = BathSpec(omega_phonon=omega_c, temperature=temp, omega_c=omega_c)
+        for x in (0.5, 5.0, 50.0):
+            quad = dissipation_rate_quadrature(bath, x / omega_c)
+            closed = dissipation_rate(bath, x / omega_c)
+            worst = max(worst, abs(quad - closed) / closed)
+    return CheckResult(
+        "dissipation-thermal-vs-quadrature", worst <= 1e-9, f"max rel diff = {worst:.3e}"
     )
 
 
@@ -207,7 +223,11 @@ FAST_CHECKS = (
     _check_dephasing_series_route,
 )
 
-FULL_CHECKS = FAST_CHECKS + (_check_bb_identities, _check_bb_suppression)
+FULL_CHECKS = FAST_CHECKS + (
+    _check_dissipation_thermal_routes,
+    _check_bb_identities,
+    _check_bb_suppression,
+)
 
 
 def run(level: str = "fast"):

@@ -2,13 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from ngfiber.bath import (
     BathSpec,
+    dissipation_rate,
     dissipation_rate_closed,
     dissipation_rate_quadrature,
     gibbs_weights,
@@ -162,8 +166,11 @@ def test_dissipation_quadrature_against_scipy():
 def test_dissipation_quadrature_edge_cases():
     bath = make_bath(0.2)
     assert dissipation_rate_quadrature(bath, 0.0) == 0.0
+    assert dissipation_rate(bath, 0.0) == 0.0
     with pytest.raises(ParameterError):
         dissipation_rate_quadrature(bath, -1.0)
+    with pytest.raises(ParameterError):
+        dissipation_rate(bath, -1.0)
     with pytest.raises(ParameterError):
         dissipation_rate_closed(bath.omega_c, -1.0)
     with pytest.raises(ParameterError):
@@ -177,3 +184,65 @@ def test_dissipation_grows_with_temperature():
     warm = dissipation_rate_quadrature(make_bath(0.5), tau)
     hot = dissipation_rate_quadrature(make_bath(5.0), tau)
     assert cold < warm < hot
+
+
+# log-uniform over T = 1 mK - 300 K and x = omega_c tau_l = 1e-3 - 1e5
+temperatures = st.floats(min_value=-3.0, max_value=math.log10(300.0)).map(lambda e: 10.0**e)
+xs = st.floats(min_value=-3.0, max_value=5.0).map(lambda e: 10.0**e)
+
+
+def rate_trigamma(temp: float, tau_l: float, wc: float = 2.62e10) -> float:
+    """Gamma(T) = 2 [psi'(a/b) - Re psi'((a - i tau)/b)] / b^2 - [1/a^2 - Re (a - i tau)^-2].
+
+    a = 1/omega_c and b = hbar / kB T; mpmath's trigamma at 40 digits.
+    """
+    with mpmath.workdps(40):
+        a = 1 / mpmath.mpf(wc)
+        b = mpmath.mpf(HBAR) / (mpmath.mpf(K_B) * temp)
+        z = mpmath.mpc(a, -tau_l)
+        val = 2 * (mpmath.psi(1, a / b) - mpmath.re(mpmath.psi(1, z / b))) / b**2
+        return float(val - (1 / a**2 - mpmath.re(z**-2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(temperatures, xs)
+def test_dissipation_rate_matches_trigamma(temp, x):
+    bath = make_bath(temp)
+    tau = x / bath.omega_c
+    assert_allclose(dissipation_rate(bath, tau), rate_trigamma(temp, tau), rtol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(temperatures, st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e))
+def test_dissipation_rate_matches_quadrature(temp, x):
+    bath = make_bath(temp)
+    tau = x / bath.omega_c
+    assert_allclose(
+        dissipation_rate(bath, tau), dissipation_rate_quadrature(bath, tau), rtol=1e-10
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(temperatures, st.floats(min_value=0.001, max_value=3.0), xs)
+def test_dissipation_rate_non_decreasing_in_temperature(temp, log_ratio, x):
+    # T2 >= 1.002 T1, so the thermal part moves by far more than its rounding
+    tau = x / 2.62e10
+    cold = dissipation_rate(make_bath(temp), tau)
+    assert dissipation_rate(make_bath(temp * 10.0**log_ratio), tau) >= cold
+    assert cold >= dissipation_rate(make_bath(0.0), tau)
+
+
+@given(xs)
+def test_dissipation_rate_at_zero_temperature_is_closed_form(x):
+    wc = 2.62e10
+    assert dissipation_rate(make_bath(0.0), x / wc) == dissipation_rate_closed(wc, x / wc)
+
+
+@pytest.mark.parametrize("temp", [1e-3, 0.2, 4.0, 300.0])
+def test_dissipation_rate_plateau(temp):
+    # x -> infinity: every Re (a_k - i tau)^-2 vanishes, leaving 2 psi'(u) / b^2 - omega_c^2
+    wc = 2.62e10
+    with mpmath.workdps(40):
+        u = mpmath.mpf(K_B) * temp / (mpmath.mpf(HBAR) * wc)
+        plateau = float(2 * mpmath.psi(1, u) * (u * wc) ** 2 - mpmath.mpf(wc) ** 2)
+    assert_allclose(dissipation_rate(make_bath(temp), 1e12 / wc), plateau, rtol=1e-12)

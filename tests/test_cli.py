@@ -281,7 +281,8 @@ def test_unwritable_output_exits_two(tmp_path):
     assert run_cli("fig1", "--out", str(missing_dir), "--steps", "3") == 2
 
 
-def test_sweep_refuses_oversized_quadrature(tmp_path, capsys):
+def test_sweep_at_silica_link_scale_completes(tmp_path):
+    # x = omega_c tau_l = 1.4e5 at 0.2 K, beyond the quadrature's panel cap
     _, bath, params = silica_preset()
     cfg = sweep_config(
         tmp_path,
@@ -298,5 +299,8 @@ zeta = 0.5
 observables = negativity_dissipative
 """,
     )
-    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 3
-    assert "panels exceed" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
+    _, value = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+    state = build_state(1, 0.5)
+    assert 0.0 < float(value) < negativity_analytic(state)

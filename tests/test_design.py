@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ngfiber.bath import dissipation_rate_closed
-from ngfiber.channel import negativity_dissipative
+from ngfiber.bath import dissipation_rate_closed, dissipation_rate_quadrature
+from ngfiber.channel import evolve_with_dissipation, negativity_dissipative
 from ngfiber.constants import C_LIGHT, HBAR, K_B
 from ngfiber.design import (
     FiberSpec,
@@ -141,9 +143,24 @@ def test_silica_preset_numbers():
     assert params.epsilon == segment_time(fiber)
 
 
-def test_silica_preset_finite_temperature_rate_is_refused():
-    # x = omega_c tau_l = 1.4e5 needs 6.2 M quadrature panels; the quadrature
-    # refuses before it allocates them
+def test_silica_preset_finite_temperature_rate_completes():
+    # x = omega_c tau_l = 1.4e5: the closed-form rate finishes where the
+    # quadrature would need 6.2 M panels and refuses before allocating them
     _, bath, params = silica_preset()
+    with mpmath.workdps(40):
+        a = 1 / mpmath.mpf(bath.omega_c)
+        b = mpmath.mpf(HBAR) / (mpmath.mpf(K_B) * bath.temperature)
+        z = mpmath.mpc(a, -params.tau_l)
+        ref = 2 * (mpmath.psi(1, a / b) - mpmath.re(mpmath.psi(1, z / b))) / b**2
+        rate = float(ref - (1 / a**2 - mpmath.re(z**-2)))
+    state = build_state(1, 0.5)
+    decay = np.exp(-4.0 * params.epsilon**2 * rate * np.arange(state.n_max + 1) ** 2)
+    c = np.abs(state.coeffs)
+    series = 2.0 * np.dot(decay[1:], np.correlate(c, c, "full")[state.n_max + 1 :])
+    assert_allclose(negativity_dissipative(state, params, bath, combined=True), series, rtol=1e-12)
+    # the leading coherence |n - m| = 1 decays by exp(-4 epsilon^2 Gamma)
+    rho = evolve_with_dissipation(state, params, bath).rho
+    leading = -math.log(abs(rho[0, 1]) / (c[0] * c[1])) / (4.0 * params.epsilon**2)
+    assert_allclose(leading, rate, rtol=1e-12)
     with pytest.raises(QuadratureNonConvergence):
-        negativity_dissipative(build_state(1, 0.5), params, bath, combined=True)
+        dissipation_rate_quadrature(bath, params.tau_l)
