@@ -148,7 +148,7 @@ def negativity_after_dephasing(
 
     N = 2 sum_{n<m} |c_n||c_m| v_{m-n}, where v_k is the thermal visibility
     at x = tau_l gamma_plus.  Uses the same truncated Gibbs weights as
-    evolve_dephasing, so it matches the dense eigensolver route exactly.
+    evolve_dephasing, so it matches the eigensolver route exactly.
     """
     return _negativity(state, _thermal_phase_means(state.n_max, params, bath))
 

@@ -95,24 +95,6 @@ class FockOperator:
             raise ParameterError("operators act on different spaces")
         return FockOperator(self.space, self.matrix @ other.matrix)
 
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        if other.space != self.space:
-            raise ParameterError("operators act on different spaces")
-        return FockOperator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        if other.space != self.space:
-            raise ParameterError("operators act on different spaces")
-        return FockOperator(self.space, self.matrix - other.matrix)
-
-    def __neg__(self) -> "FockOperator":
-        return FockOperator(self.space, -self.matrix)
-
-    def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
 
 def _check_mode(mode: str) -> str:
     if mode not in ("a", "b"):

@@ -3,9 +3,14 @@
 For a manifold state the partially transposed density matrix decomposes into
 1x1 blocks (the diagonal weights) and 2x2 blocks contributing eigenvalue
 pairs +/- |rho_nm|, so the negativity has a closed series form.  The numeric
-route below never uses that structure: it embeds the matrix in a full
-two-mode space, transposes one mode index, and diagonalizes densely, which
-makes it an independent cross-check of the series.
+route below never uses that pair structure.  It relies only on the fact that
+a state supported on the n_a - n_b = -p manifold has a partial transpose that
+conserves the total photon number N = n_a + n_b, so rho^PT is block diagonal
+in N.  Each block is assembled straight from the manifold matrix and handed
+to a Hermitian eigensolver, which makes the route an independent cross-check
+of the series.  The dense route (embed, transpose one mode index,
+diagonalize the whole space) is kept for general two-mode operators and as
+the test oracle.
 
 Convention: the negativity returned everywhere in this module is the trace
 norm defect ||rho^PT||_1 - 1, i.e. twice the absolute sum of the negative
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .fock import FockOperator, FockSpace, partial_transpose
-from .states import ManifoldDensityMatrix, NonGaussianState, embed_density_matrix
+from .fock import FockOperator, partial_transpose
+from .states import ManifoldDensityMatrix, NonGaussianState
 
 NEGATIVE_EIG_CUT = -1e-10
 
@@ -64,6 +69,11 @@ def negativity_analytic(state: NonGaussianState) -> float:
     return s1 * s1 - float((a * a).sum())
 
 
+def _pt_eigenvalues(rho: FockOperator, mode: str) -> np.ndarray:
+    """Spectrum of the dense partial transpose of a full two-mode matrix."""
+    return np.linalg.eigvalsh(partial_transpose(rho, mode).matrix)
+
+
 def negativity_fock(rho: FockOperator, mode: str = "b") -> float:
     """Negativity of a full two-mode density matrix: dense PPT eigensolve.
 
@@ -73,30 +83,49 @@ def negativity_fock(rho: FockOperator, mode: str = "b") -> float:
     |lambda| - lambda up to rounding, while a threshold would silently drop
     real small coherence pairs.
     """
-    pt = partial_transpose(rho, mode)
-    eigs = np.linalg.eigvalsh(pt.matrix)
+    eigs = _pt_eigenvalues(rho, mode)
     return float(np.abs(eigs).sum() - eigs.sum())
 
 
 def negative_eigenvalue_count(rho: FockOperator, mode: str = "b") -> int:
-    pt = partial_transpose(rho, mode)
-    eigs = np.linalg.eigvalsh(pt.matrix)
+    eigs = _pt_eigenvalues(rho, mode)
     return int(np.count_nonzero(eigs < NEGATIVE_EIG_CUT))
 
 
-def negativity_numeric(rho: ManifoldDensityMatrix, total_cut: int | None = None) -> float:
-    """Negativity by dense embedding, partial transpose and eigendecomposition.
+def _pt_blocks(rho: ManifoldDensityMatrix):
+    """Nonzero total-photon-number blocks of the partial transpose over mode b.
 
-    The embedding space must satisfy total_cut >= 2 n_max + p so no partial
-    transpose entry is lost; the minimal such space is used by default.
-    Memory grows as total_cut^4, so keep n_max modest on this route.
+    <n_a, N - n_a| rho^Tb |m_a, N - m_a> = <n_a, N - m_a| rho |m_a, N - n_a>,
+    which is the manifold entry rho_{n_a, m_a} when N - n_a = m_a + p and 0
+    otherwise.  So block N holds rho_{n_a, N - p - n_a} at row n_a and
+    column N - p - n_a; rows with either index outside 0..n_max are zero and
+    are left out.  Yields one Hermitian matrix per N = p .. 2 n_max + p.
+    """
+    for total in range(rho.p, 2 * rho.n_max + rho.p + 1):
+        lo = max(0, total - rho.p - rho.n_max)
+        hi = min(rho.n_max, total - rho.p)
+        rows = np.arange(lo, hi + 1)
+        block = np.zeros((rows.size, rows.size), dtype=complex)
+        block[rows - lo, hi - rows] = rho.rho[rows, hi + lo - rows]
+        yield block
+
+
+def negativity_numeric(rho: ManifoldDensityMatrix, total_cut: int | None = None) -> float:
+    """Negativity by a partial-transpose eigensolve, blocked by total photon number.
+
+    Sums |lambda| - lambda over the eigenvalues of every block that
+    _pt_blocks assembles from the manifold matrix.  The blocks are exact, not
+    an approximation: a manifold state commutes with n_a - n_b, so its
+    partial transpose commutes with n_a + n_b and has no entry between
+    different blocks.  The full space is never built; memory is O(n_max^2).
+
+    total_cut names the two-mode truncation the result refers to.  It must
+    satisfy total_cut >= 2 n_max + p so no partial-transpose entry is lost;
+    a larger cut only adds empty blocks and does not change the value.
     """
     rho.validate()
     needed = 2 * rho.n_max + rho.p
-    if total_cut is None:
-        total_cut = needed
-    elif total_cut < needed:
+    if total_cut is not None and total_cut < needed:
         raise TruncationTooSmall(f"total_cut {total_cut} < 2 n_max + p = {needed}")
-    space = FockSpace(total_cut)
-    full = embed_density_matrix(rho, space)
-    return negativity_fock(FockOperator(space, full))
+    eigs = np.concatenate([np.linalg.eigvalsh(block) for block in _pt_blocks(rho)])
+    return float(np.abs(eigs).sum() - eigs.sum())

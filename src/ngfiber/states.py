@@ -178,9 +178,15 @@ class ManifoldDensityMatrix:
         tr = float(np.trace(self.rho).real)
         if abs(tr - 1.0) > self.TRACE_TOL:
             raise ParameterError(f"manifold rho trace {tr:.12g} != 1")
-        min_eig = float(np.linalg.eigvalsh(self.rho)[0])
-        if min_eig < self.PSD_TOL:
-            raise ParameterError(f"manifold rho has negative eigenvalue {min_eig:.3e}")
+        # rho - PSD_TOL I factors exactly when the smallest eigenvalue exceeds
+        # PSD_TOL; the spectrum is computed only to report a failure.
+        try:
+            np.linalg.cholesky(self.rho - self.PSD_TOL * np.eye(self.n_max + 1))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(self.rho)[0])
+            raise ParameterError(
+                f"manifold rho has negative eigenvalue {min_eig:.3e}"
+            ) from None
 
 
 def embed(state: NonGaussianState, space: FockSpace) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Cross-route consistency checks runnable from the command line.
 
 Every quantity with two independent computation routes is compared here:
-series against dense eigensolver, closed forms against direct summation or
-quadrature (the finite-temperature dissipation rate at level full), and the
-pulse-sequence identities against brute-force matrix algebra.  A failed
-check means the two routes disagree beyond the pinned tolerance, which
-should never survive a correct change.
+series against the partial-transpose eigensolver, closed forms against
+direct summation or quadrature (the finite-temperature dissipation rate at
+level full), and the pulse-sequence identities against brute-force matrix
+algebra.  A failed check means the two routes disagree beyond the pinned
+tolerance, which should never survive a correct change.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ class CheckResult:
 
 
 def _check_negativity_routes() -> CheckResult:
-    # n_max capped so the dense eigensolve stays small; both routes share the
-    # same truncated coefficient vector, so the cap does not bias the check.
     worst = 0.0
     for p, zeta in ((1, 0.5), (2, 0.4), (0, 0.3)):
-        state = build_state(p, zeta, n_max=14)
+        state = build_state(p, zeta)
         series = negativity_analytic(state)
-        dense = negativity_numeric(state.density_matrix())
-        worst = max(worst, abs(series - dense))
+        numeric = negativity_numeric(state.density_matrix())
+        worst = max(worst, abs(series - numeric))
     return CheckResult(
         "negativity-series-vs-eigensolver", worst <= 1e-9, f"max |diff| = {worst:.3e}"
     )
@@ -144,8 +142,8 @@ def _check_dephasing_series_route() -> CheckResult:
         omega_a=1.0e9, omega_b=2.0e9, gamma_plus=2.5e8, gamma_minus=0.0, tau_l=3.1e-9
     )
     series = negativity_after_dephasing(state, params, bath)
-    dense = negativity_numeric(evolve_dephasing(state, params, bath))
-    diff = abs(series - dense)
+    numeric = negativity_numeric(evolve_dephasing(state, params, bath))
+    diff = abs(series - numeric)
     return CheckResult("dephased-negativity-routes", diff <= 1e-9, f"|diff| = {diff:.3e}")
 
 

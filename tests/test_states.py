@@ -161,6 +161,30 @@ def test_density_matrix_validation_catches_defects():
         not_psd.validate()
 
 
+def spectrum_matrix(eigs: np.ndarray, seed: int) -> np.ndarray:
+    """Hermitian matrix with the given spectrum in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(eigs.size, eigs.size)) + 1j * rng.normal(size=(eigs.size, eigs.size))
+    u, _ = np.linalg.qr(z)
+    m = (u * eigs) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_psd_check_boundary(seed):
+    # PSD_TOL is -1e-10: a smallest eigenvalue of -2e-10 is refused and one
+    # of -5e-11 is accepted, whatever the eigenbasis
+    for min_eig, accepted in ((-2e-10, False), (-5e-11, True)):
+        eigs = np.array([min_eig, 0.1, 0.2, 0.3, 0.0, 0.0])
+        eigs[-1] = 1.0 - eigs[:-1].sum()
+        rho = ManifoldDensityMatrix(2, 5, spectrum_matrix(eigs, seed))
+        if accepted:
+            rho.validate()
+        else:
+            with pytest.raises(ParameterError, match="negative eigenvalue -2.0"):
+                rho.validate()
+
+
 def test_wavefunction_matches_hermite_sum():
     # direct evaluation with physicists' Hermite polynomials, independent of
     # the oscillator recurrence used internally
