@@ -2,8 +2,10 @@
 
 The joint Hamiltonian couples the two fiber modes to a handful of truncated
 oscillator modes through a pair-exchange (Raman) term g (a+ b B + a b+ B+)
-and number-diagonal dephasing terms (G_a n_a + G_b n_b) B+B.  Interleaving
-the quarter-cycle phase shifter Pi = exp(i pi (n_a - n_b)/2) between segment
+and number-diagonal dephasing terms (G_a n_a + G_b n_b) B+B.  It is built from
+occupation labels and conserves n_a + n_b and n_a + sum_i s_i, so
+`fock.expm_hermitian` solves it per block.  Interleaving the quarter-cycle
+phase shifter Pi = exp(i pi (n_a - n_b)/2), a phase vector, between segment
 propagators flips the sign of the pair-exchange term each segment, so its
 first-order effect cancels over segment pairs while the manifold-preserving
 terms accumulate unchanged.
@@ -11,13 +13,12 @@ terms accumulate unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionBudgetExceeded, DimensionMismatch, ParameterError
-from .fock import FockOperator, FockSpace, annihilation, expm_hermitian, number_operator, phase_shifter
+from .fock import FockOperator, FockSpace, expm_hermitian, phase_shifter
 from .negativity import negativity_fock
 from .states import NonGaussianState, embed
 
@@ -88,20 +89,11 @@ class SegmentProfile:
         return cls(num_segments, delta, g, d, seed=seed)
 
 
-def _single_mode_lowering(dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        m[n - 1, n] = math.sqrt(n)
-    return m
-
-
-def _bath_mode_operator(bath: ToyBath, mode_index: int, op: np.ndarray) -> np.ndarray:
-    """Lift a single-mode operator to the full bath tensor factor."""
-    out = np.array([[1.0 + 0.0j]])
-    eye = np.eye(bath.mode_dim, dtype=complex)
-    for i in range(bath.num_modes):
-        out = np.kron(out, op if i == mode_index else eye)
-    return out
+def _joint_occupations(space: FockSpace, bath: ToyBath):
+    """n_a, n_b and s_i (one row per mode, s_0 the leading bath digit) per joint index."""
+    strides = bath.mode_dim ** np.arange(bath.num_modes - 1, -1, -1)
+    s = np.tile(np.arange(bath.bath_dim()) // strides[:, None] % bath.mode_dim, space.dim)
+    return np.repeat(space.n_a, bath.bath_dim()), np.repeat(space.n_b, bath.bath_dim()), s
 
 
 def joint_dim(space: FockSpace, bath: ToyBath) -> int:
@@ -131,37 +123,27 @@ def build_hamiltonian(
     its perturbation factors.
     """
     check_budget(space, bath)
-    a = annihilation(space, "a").matrix
-    b = annihilation(space, "b").matrix
-    na = number_operator(space, "a").matrix
-    nb = number_operator(space, "b").matrix
-    eye_sys = np.eye(space.dim, dtype=complex)
-    eye_bath = np.eye(bath.bath_dim(), dtype=complex)
-
-    h = np.kron(bath.omega_a * na + bath.omega_b * nb, eye_bath)
-    raman_sys = a.conj().T @ b  # a+ b
+    n_a, n_b, s = _joint_occupations(space, bath)
+    diag = bath.omega_a * n_a + bath.omega_b * n_b
+    h = np.zeros((n_a.size, n_a.size), dtype=complex)
     for i in range(bath.num_modes):
-        g = bath.raman_couplings[i]
-        ga = bath.dephasing_rates_a[i]
-        gb = bath.dephasing_rates_b[i]
+        g, ga, gb = bath.raman_couplings[i], bath.dephasing_rates_a[i], bath.dephasing_rates_b[i]
         if profile is not None:
-            g = g * profile.g_scales[segment, i]
-            ga = ga * profile.dephasing_scales[segment, i]
-            gb = gb * profile.dephasing_scales[segment, i]
-        lower = _bath_mode_operator(bath, i, _single_mode_lowering(bath.mode_dim))
-        occupation = lower.conj().T @ lower
-        h += bath.frequencies[i] * np.kron(eye_sys, occupation)
-        if g != 0.0:
-            term = g * np.kron(raman_sys, lower)
-            h += term + term.conj().T
-        if ga != 0.0 or gb != 0.0:
-            h += np.kron(ga * na + gb * nb, occupation)
+            d = profile.dephasing_scales[segment, i]
+            g, ga, gb = g * profile.g_scales[segment, i], ga * d, gb * d
+        diag = diag + (bath.frequencies[i] + ga * n_a + gb * n_b) * s[i]
+        # a+ b B_i: next system index of the same total, one quantum of mode i fewer
+        src = np.flatnonzero((n_b > 0) & (s[i] > 0))
+        dst = src + bath.bath_dim() - bath.mode_dim ** (bath.num_modes - 1 - i)
+        amp = g * (np.sqrt(n_a[src] + 1) * np.sqrt(n_b[src]) * np.sqrt(s[i, src]))
+        h[dst, src] = h[src, dst] = amp
+    np.fill_diagonal(h, diag)
     return h
 
 
 def joint_phase_shifter(space: FockSpace, bath: ToyBath) -> np.ndarray:
-    """Pi acting on the system factor, identity on the bath."""
-    return np.kron(phase_shifter(space).matrix, np.eye(bath.bath_dim(), dtype=complex))
+    """Pi on the system, identity on the bath, as a phase vector: apply as pi_op * psi."""
+    return np.repeat(np.diag(phase_shifter(space).matrix), bath.bath_dim())
 
 
 def _segment_propagators(h_list, tau: float):
@@ -199,7 +181,7 @@ def propagate_bb(
     U = E_N Pi ... E_2 Pi E_1 Pi; with pulses_after=True the pulse follows
     each segment instead (strictly paired variant).  Both cancel the
     pair-exchange coupling to first order; they differ only at the walk's
-    boundary.  Requires an even number of segments.
+    boundary.  Requires an even number of segments; pi_op is a phase vector.
     """
     n = len(h_list)
     if n < 2 or n % 2 != 0:
@@ -207,15 +189,14 @@ def propagate_bb(
     psi = np.asarray(psi0, dtype=complex)
     if pi_op.shape[0] != psi.shape[0]:
         raise DimensionMismatch("pulse operator and state dimensions differ")
-    props = _segment_propagators(h_list, tau)
-    for u in props:
+    for u in _segment_propagators(h_list, tau):
         if u.shape[0] != psi.shape[0]:
             raise DimensionMismatch("state and Hamiltonian dimensions differ")
         if not pulses_after:
-            psi = pi_op @ psi
+            psi = pi_op * psi
         psi = u @ psi
         if pulses_after:
-            psi = pi_op @ psi
+            psi = pi_op * psi
     return psi
 
 

@@ -15,6 +15,7 @@ a command with the same inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -273,6 +274,7 @@ def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> N
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ngfiber",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bath import BathSpec
+from .bath import BathSpec, dissipation_rate_closed
 from .channel import ChannelParams
 from .constants import C_LIGHT
 from .errors import MissingSpacing, ParameterError
@@ -55,9 +55,10 @@ def max_spacing(fiber: FiberSpec, tau_l: float | None = None):
 
     Returns (delta_max, asymptote) in meters, where
 
-        delta_max = sqrt(v^2 (1+x^2)^2 / (4 omega_c^2 x^2 (3+x^2))
-                       * ln 1/(1-delta)),   x = omega_c tau_l,
-        asymptote = v / (2 omega_c) * sqrt(ln 1/(1-delta)).
+        delta_max = (v / 2) sqrt(ln(1/(1-delta)) / Gamma(tau_l)),
+        asymptote = v / (2 omega_c) * sqrt(ln 1/(1-delta)),
+
+    with Gamma the zero-temperature rate of bath.dissipation_rate_closed.
 
     delta_max decreases toward the asymptote as the accumulated rate
     saturates; it shrinks with omega_c and grows with the budget delta.
@@ -67,13 +68,9 @@ def max_spacing(fiber: FiberSpec, tau_l: float | None = None):
     if tau_l <= 0:
         raise ParameterError("tau_l must be > 0")
     v = fiber.group_velocity
-    x = fiber.omega_c * tau_l
     log_term = math.log(1.0 / (1.0 - fiber.error_budget))
     asymptote = v / (2.0 * fiber.omega_c) * math.sqrt(log_term)
-    x2 = x * x
-    finite = math.sqrt(
-        v * v * (1.0 + x2) ** 2 / (4.0 * fiber.omega_c ** 2 * x2 * (3.0 + x2)) * log_term
-    )
+    finite = v / 2.0 * math.sqrt(log_term / dissipation_rate_closed(fiber.omega_c, tau_l))
     return finite, asymptote
 
 

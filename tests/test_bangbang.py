@@ -1,8 +1,13 @@
 """Joint system-bath propagation and pulse-protected evolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import expm_multiply
 
 import ngfiber.bangbang as bb
 from ngfiber.errors import (
@@ -10,7 +15,7 @@ from ngfiber.errors import (
     DimensionMismatch,
     ParameterError,
 )
-from ngfiber.fock import FockSpace, expm_hermitian
+from ngfiber.fock import FockSpace, annihilation, expm_hermitian, number_operator, phase_shifter
 from ngfiber.negativity import negativity_analytic
 from ngfiber.states import build_state, embed
 
@@ -88,6 +93,105 @@ def test_hamiltonian_conserves_total_photon_number():
     )
     comm = h @ n_total - n_total @ h
     assert np.max(np.abs(comm)) < 1e-13
+
+
+def kron_hamiltonian(space, bath, segment=0, profile=None):
+    """Reference H from kron chains of single-mode operators."""
+    def lift(op, mode_index):
+        out = np.array([[1.0 + 0.0j]])
+        for i in range(bath.num_modes):
+            out = np.kron(out, op if i == mode_index else np.eye(bath.mode_dim))
+        return out
+
+    lowering = np.diag(np.sqrt(np.arange(1, bath.mode_dim)), 1).astype(complex)
+    a = annihilation(space, "a").matrix
+    b = annihilation(space, "b").matrix
+    na = number_operator(space, "a").matrix
+    nb = number_operator(space, "b").matrix
+    h = np.kron(bath.omega_a * na + bath.omega_b * nb, np.eye(bath.bath_dim()))
+    for i in range(bath.num_modes):
+        g = bath.raman_couplings[i]
+        ga = bath.dephasing_rates_a[i]
+        gb = bath.dephasing_rates_b[i]
+        if profile is not None:
+            g = g * profile.g_scales[segment, i]
+            ga = ga * profile.dephasing_scales[segment, i]
+            gb = gb * profile.dephasing_scales[segment, i]
+        lower = lift(lowering, i)
+        occupation = lower.conj().T @ lower
+        h = h + bath.frequencies[i] * np.kron(np.eye(space.dim), occupation)
+        term = g * np.kron(a.conj().T @ b, lower)
+        h = h + term + term.conj().T + np.kron(ga * na + gb * nb, occupation)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_hamiltonian_matches_kron_construction(num_modes, s_cut, cut, perturbed, seed):
+    space = FockSpace(cut)
+    assume(space.dim * (s_cut + 1) ** num_modes <= 1024)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return tuple(rng.uniform(0.0, 2.0, num_modes))
+
+    bath = bb.ToyBath(
+        num_modes, draw(), draw(), draw(), draw(), s_cut=s_cut,
+        omega_a=rng.uniform(0.0, 3.0), omega_b=rng.uniform(0.0, 3.0),
+    )
+    profile = None
+    if perturbed:
+        profile = bb.SegmentProfile.generate(4, 1.0, 0.1, seed=seed, num_modes=num_modes)
+    ref = kron_hamiltonian(space, bath, 3, profile)
+    h = bb.build_hamiltonian(space, bath, 3, profile)
+    # both routes round differently (the reference's occupation is sqrt(s)^2)
+    assert np.max(np.abs(h - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(h == 0, ref == 0)
+
+
+def test_joint_phase_shifter_is_the_kron_diagonal():
+    bath = bb.ToyBath(2, (1.0, 1.5), (0.3, 0.2), (0.0, 0.0), (0.0, 0.0), s_cut=2)
+    space = FockSpace(6)
+    dense = np.kron(phase_shifter(space).matrix, np.eye(bath.bath_dim()))
+    pi = bb.joint_phase_shifter(space, bath)
+    assert pi.shape == (bb.joint_dim(space, bath),)
+    assert np.array_equal(pi, np.diag(dense))
+
+
+def test_joint_phase_shifter_allocates_no_dense_pulse():
+    # criterion 09's joint dim 3696, where a dense kron pulse is 218 MB
+    bath = bb.ToyBath(1, (0.0,), (0.5,), (0.0,), (0.0,), s_cut=15)
+    space = FockSpace(20)
+    assert bb.joint_dim(space, bath) == 3696
+    tracemalloc.start()
+    try:
+        pi = bb.joint_phase_shifter(space, bath)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pi.shape == (3696,)
+    assert peak <= 1_000_000
+
+
+def test_perturbed_propagation_matches_expm_multiply():
+    bath = bb.ToyBath(2, (1.0, 1.7), (0.4, 0.25), (0.1, 0.05), (0.2, 0.1), s_cut=2,
+                      omega_a=2.0, omega_b=1.3)
+    space = FockSpace(5)
+    profile = bb.SegmentProfile.generate(8, 1.0, 0.1, seed=9, num_modes=2)
+    h_list = [bb.build_hamiltonian(space, bath, i, profile) for i in range(8)]
+    psi0 = bb.joint_initial_state(build_state(1, 0.5, n_max=2), space, bath)
+    pi = bb.joint_phase_shifter(space, bath)
+    tau = 0.6
+    ref = psi0.astype(complex)
+    for h in h_list:
+        ref = expm_multiply(-1j * tau * h, pi * ref)
+    assert_allclose(bb.propagate_bb(h_list, tau, psi0, pi), ref, rtol=0, atol=1e-12)
 
 
 def test_segment_profile_validation_and_seeding():
@@ -204,8 +308,8 @@ def test_phase_shifter_conjugation_flips_exchange_hamiltonian():
     )
     space = FockSpace(4)
     h = bb.build_hamiltonian(space, bath)
-    pi_op = bb.joint_phase_shifter(space, bath)
-    conj = pi_op @ h @ pi_op.conj().T
+    pi = bb.joint_phase_shifter(space, bath)
+    conj = pi[:, None] * h * pi.conj()
     assert np.max(np.abs(conj + h)) < 1e-13
 
 

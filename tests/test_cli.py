@@ -147,6 +147,38 @@ def test_design_with_spacing_override(tmp_path):
     assert abs(report["tau_omega_c"] - 0.11178666666666667) < 1e-15
 
 
+def test_cached_parser_carries_nothing_between_calls(tmp_path):
+    # the parser is built once per process; a run must read exactly what a
+    # fresh parser gives, whatever ran before it
+    def outputs(tag, fresh):
+        files = {}
+        for name, argv in (
+            ("spaced", ["design", "--spacing", "0.0008"]),
+            ("bad", ["design", "--no-such-flag"]),
+            ("fig1", ["fig1", "--steps", "5"]),
+            ("plain", ["design"]),
+        ):
+            if fresh:
+                cli.build_parser.cache_clear()
+            if name == "bad":
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(*argv)
+                assert exc.value.code == 2
+                continue
+            out = tmp_path / f"{tag}-{name}"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            files[name] = read_bytes(out)
+        return files
+
+    fresh = outputs("fresh", fresh=True)
+    shared = outputs("shared", fresh=False)
+    assert shared == fresh
+    assert cli.build_parser() is cli.build_parser()
+    plain = json.loads(shared["plain"])
+    assert plain["chosen_spacing_m"] == plain["max_spacing_m"]
+    assert json.loads(shared["spaced"])["chosen_spacing_m"] == 0.0008
+
+
 def test_design_rejects_bad_fiber():
     assert run_cli("design", "--length", "-5") == 2
     assert run_cli("design", "--budget", "1.5") == 2

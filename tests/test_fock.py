@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import expm as scipy_expm
 
 from ngfiber.errors import EigenFailure, NonHermitianInput, ParameterError
 from ngfiber.fock import (
@@ -202,6 +205,40 @@ def test_expm_matches_series_for_small_generator():
         + (1j * t**3 / 6.0) * (hm @ hm @ hm)
     )
     assert_allclose(u, series, rtol=0, atol=1e-14)
+
+
+@st.composite
+def hidden_block_hermitians(draw):
+    """Hermitian matrix whose block partition is hidden by a permutation.
+
+    The partition is one dense block, all 1x1 blocks, or random cuts; inside
+    a block some off-diagonal pairs are zeroed, which may split it further.
+    """
+    dim = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(("dense", "diagonal", "random")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        cuts = [0, dim]
+    elif kind == "diagonal":
+        cuts = list(range(dim + 1))
+    else:
+        inner = rng.choice(np.arange(1, dim), size=rng.integers(0, dim), replace=False)
+        cuts = [0, *sorted(inner.tolist()), dim]
+    h = np.zeros((dim, dim), dtype=complex)
+    for lo, hi in zip(cuts, cuts[1:]):
+        size = hi - lo
+        block = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        if kind == "random":
+            block *= rng.random((size, size)) < rng.uniform(0.3, 1.0)
+        h[lo:hi, lo:hi] = block + block.conj().T
+    perm = rng.permutation(dim)
+    return h[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hidden_block_hermitians(), st.floats(-3.0, 3.0))
+def test_blocked_expm_matches_scipy(h, t):
+    assert_allclose(expm_hermitian(h, t), scipy_expm(-1j * t * h), rtol=0, atol=1e-12)
 
 
 def test_expm_rejects_non_hermitian():
