@@ -3,12 +3,14 @@
 The joint Hamiltonian couples the two fiber modes to a handful of truncated
 oscillator modes through a pair-exchange (Raman) term g (a+ b B + a b+ B+)
 and number-diagonal dephasing terms (G_a n_a + G_b n_b) B+B.  It is built from
-occupation labels and conserves n_a + n_b and n_a + sum_i s_i, so
-`fock.expm_hermitian` solves it per block.  Interleaving the quarter-cycle
-phase shifter Pi = exp(i pi (n_a - n_b)/2), a phase vector, between segment
-propagators flips the sign of the pair-exchange term each segment, so its
-first-order effect cancels over segment pairs while the manifold-preserving
-terms accumulate unchanged.
+occupation labels and conserves n_a + n_b and n_a + sum_i s_i, so it is
+block diagonal.  Propagation decomposes the distinct segment Hamiltonians once,
+over the blocks of their joint pattern (`fock._block_expm`), and advances the
+state block by block; no dense propagator is formed.  Interleaving the
+quarter-cycle phase shifter Pi = exp(i pi (n_a - n_b)/2), a phase vector,
+between segment propagators flips the sign of the pair-exchange term each
+segment, so its first-order effect cancels over segment pairs while the
+manifold-preserving terms accumulate unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionBudgetExceeded, DimensionMismatch, ParameterError
-from .fock import FockOperator, FockSpace, expm_hermitian, phase_shifter
+from .fock import FockOperator, FockSpace, _block_expm, _quarter_phases
 from .negativity import negativity_fock
 from .states import NonGaussianState, embed
 
@@ -143,29 +145,51 @@ def build_hamiltonian(
 
 def joint_phase_shifter(space: FockSpace, bath: ToyBath) -> np.ndarray:
     """Pi on the system, identity on the bath, as a phase vector: apply as pi_op * psi."""
-    return np.repeat(np.diag(phase_shifter(space).matrix), bath.bath_dim())
+    return np.repeat(_quarter_phases(space), bath.bath_dim())
 
 
-def _segment_propagators(h_list, tau: float):
-    """Eigendecompose each distinct segment Hamiltonian once."""
-    cache = {}
-    out = []
+def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None, pulses_after=False):
+    """Advance psi through the segments, block by block, optionally pulsing each one.
+
+    Each distinct Hamiltonian (by identity) is decomposed once, over the blocks
+    of the distinct ones' joint pattern.  psi and the pulse phases are permuted
+    into block order once; each segment multiplies every size group in place.
+    """
+    distinct = {}
     for h in h_list:
-        key = id(h)
-        if key not in cache:
-            cache[key] = expm_hermitian(h, tau)
-        out.append(cache[key])
+        if h.shape[0] != psi.shape[0]:
+            raise DimensionMismatch("state and Hamiltonian dimensions differ")
+        distinct.setdefault(id(h), (len(distinct), h))
+    if not distinct:
+        return psi
+    groups = _block_expm([h for _, h in distinct.values()], tau)
+    order = np.concatenate([idx.ravel() for idx, _ in groups])
+    x = psi[order]
+    phases = None if pi_op is None else pi_op[order]
+    views, start = [], 0
+    for idx, _ in groups:
+        views.append(x[start : start + idx.size].reshape(*idx.shape, 1))
+        start += idx.size
+    for h in h_list:
+        k = distinct[id(h)][0]
+        if phases is not None and not pulses_after:
+            x *= phases
+        for view, (_, blocks) in zip(views, groups):
+            view[...] = np.matmul(blocks[k], view)
+        if phases is not None and pulses_after:
+            x *= phases
+    out = np.empty_like(x)
+    out[order] = x
     return out
 
 
 def propagate_free(h_list, tau: float, psi0: np.ndarray) -> np.ndarray:
-    """Apply the segment propagators in order with no pulses."""
-    psi = np.asarray(psi0, dtype=complex)
-    for u in _segment_propagators(h_list, tau):
-        if u.shape[0] != psi.shape[0]:
-            raise DimensionMismatch("state and Hamiltonian dimensions differ")
-        psi = u @ psi
-    return psi
+    """Apply the segment propagators in order with no pulses.
+
+    No dense propagator is formed: the segments are advanced per block of their
+    Hamiltonians' joint nonzero pattern (`fock._block_expm`).
+    """
+    return _propagate(list(h_list), tau, np.asarray(psi0, dtype=complex))
 
 
 def propagate_bb(
@@ -182,6 +206,8 @@ def propagate_bb(
     each segment instead (strictly paired variant).  Both cancel the
     pair-exchange coupling to first order; they differ only at the walk's
     boundary.  Requires an even number of segments; pi_op is a phase vector.
+    The distinct segment Hamiltonians share one blocked eigendecomposition and
+    psi is advanced block by block, so no dense propagator is formed.
     """
     n = len(h_list)
     if n < 2 or n % 2 != 0:
@@ -189,15 +215,7 @@ def propagate_bb(
     psi = np.asarray(psi0, dtype=complex)
     if pi_op.shape[0] != psi.shape[0]:
         raise DimensionMismatch("pulse operator and state dimensions differ")
-    for u in _segment_propagators(h_list, tau):
-        if u.shape[0] != psi.shape[0]:
-            raise DimensionMismatch("state and Hamiltonian dimensions differ")
-        if not pulses_after:
-            psi = pi_op * psi
-        psi = u @ psi
-        if pulses_after:
-            psi = pi_op * psi
-    return psi
+    return _propagate(h_list, tau, psi, pi_op, pulses_after)
 
 
 def reduced_system_matrix(

@@ -17,8 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, _gibbs_levels, dissipation_rate
-from .errors import ParameterError, ZeroFrequency
+from .errors import DimensionBudgetExceeded, ParameterError, ZeroFrequency
 from .states import ManifoldDensityMatrix, NonGaussianState
+
+# Largest n_max + 1 for which a dense manifold matrix is built.  Assembly peaks
+# at about 48 B (n_max + 1)^2, so 0.8 GB here; zeta = 0.99 needs 1947.
+MANIFOLD_BUDGET = 4096
 
 
 @dataclass
@@ -71,13 +75,19 @@ def _negativity(state: NonGaussianState, factors: np.ndarray) -> float:
 
 
 def _manifold_rho(
-    state: NonGaussianState, params: ChannelParams, factors: np.ndarray, validate: bool
+    state: NonGaussianState, params: ChannelParams, bath: BathSpec, coherence, validate: bool
 ) -> ManifoldDensityMatrix:
-    """rho_nm = psi_n psi_m^* factors_{n-m}, psi_n = phi_n c_n, factors_{-k} = factors_k^*.
+    """rho_nm = psi_n psi_m^* d_{n-m}, psi_n = phi_n c_n, d = coherence(n_max, params, bath).
 
     phi enters as a diagonal unitary, not as a function of n - m, so rho stays a
     Schur product of positive matrices however tau_l omega_total n rounds.
+    d_{-k} = d_k^*.  Refuses before allocating when n_max + 1 exceeds MANIFOLD_BUDGET.
     """
+    if state.n_max + 1 > MANIFOLD_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"manifold matrix of size {state.n_max + 1} exceeds budget {MANIFOLD_BUDGET}"
+        )
+    factors = coherence(state.n_max, params, bath)
     n = np.arange(state.n_max + 1)
     psi = np.exp(-1j * (params.tau_l * params.omega_total) * n) * state.coeffs
     full = np.concatenate([factors[::-1], factors[1:].conj()])  # full[n_max - k] = factors_k
@@ -98,7 +108,7 @@ def evolve_dephasing(
     visibility.  gamma_minus does not appear: the difference coupling is
     constant on the manifold and cancels between bra and ket.
     """
-    return _manifold_rho(state, params, _thermal_phase_means(state.n_max, params, bath), validate)
+    return _manifold_rho(state, params, bath, _thermal_phase_means, validate)
 
 
 def fidelity(state: NonGaussianState, params: ChannelParams, bath: BathSpec) -> float:
@@ -153,14 +163,12 @@ def negativity_after_dephasing(
     return _negativity(state, _thermal_phase_means(state.n_max, params, bath))
 
 
-def _dissipative_factors(
-    state: NonGaussianState, params: ChannelParams, bath: BathSpec
-) -> np.ndarray:
+def _dissipative_factors(n_max: int, params: ChannelParams, bath: BathSpec) -> np.ndarray:
     """Thermal means times exp(-4 epsilon^2 Gamma k^2), Gamma the closed-form rate at bath T."""
     gamma = dissipation_rate(bath, params.tau_l)
-    k = np.arange(state.n_max + 1, dtype=float)
+    k = np.arange(n_max + 1, dtype=float)
     decay = np.exp(-(4.0 * params.epsilon * params.epsilon * gamma * k * k))
-    return decay * _thermal_phase_means(state.n_max, params, bath)
+    return decay * _thermal_phase_means(n_max, params, bath)
 
 
 def evolve_with_dissipation(
@@ -172,7 +180,7 @@ def evolve_with_dissipation(
     exp(-4 epsilon^2 Gamma(tau_l) (n-m)^2), with Gamma the closed-form
     dissipation rate at the bath temperature.  The diagonal is preserved.
     """
-    return _manifold_rho(state, params, _dissipative_factors(state, params, bath), validate)
+    return _manifold_rho(state, params, bath, _dissipative_factors, validate)
 
 
 def negativity_dissipative(
@@ -194,4 +202,4 @@ def negativity_dissipative(
             "the plain dissipative series is a T = 0 result; pass combined=True "
             "to fold in thermal visibilities"
         )
-    return _negativity(state, _dissipative_factors(state, params, bath))
+    return _negativity(state, _dissipative_factors(state.n_max, params, bath))

@@ -2,8 +2,11 @@
 
 Basis states |n_a, n_b> with n_a + n_b <= total_cut are enumerated in a fixed
 order (ascending total photon number, then ascending n_a), so every matrix
-representation is reproducible across runs.  `expm_hermitian` works per block
-of the generator's nonzero pattern, so conserved numbers come for free.
+representation is reproducible across runs.  Propagators are computed per
+block of the generators' nonzero pattern, so conserved numbers come for free:
+`_block_expm` decomposes a whole list of Hermitian matrices over the blocks of
+their joint pattern, with one stacked eigh per block size, and `expm_hermitian`
+scatters the blocks of one matrix into a dense unitary.
 """
 
 from __future__ import annotations
@@ -125,10 +128,14 @@ def number_operator(space: FockSpace, mode: str) -> FockOperator:
     return FockOperator(space, np.diag(occ.astype(complex)))
 
 
+def _quarter_phases(space: FockSpace) -> np.ndarray:
+    """Diagonal of the phase shifter, i**(n_a - n_b) per basis state, exact units."""
+    return np.array(_QUARTER_PHASES)[(space.n_a - space.n_b) % 4]
+
+
 def phase_shifter(space: FockSpace) -> FockOperator:
     """Diagonal unitary exp(i pi (n_a - n_b) / 2) with exact unit entries."""
-    phases = np.array([_QUARTER_PHASES[(na - nb) % 4] for na, nb in space.basis])
-    return FockOperator(space, np.diag(phases))
+    return FockOperator(space, np.diag(_quarter_phases(space)))
 
 
 def partial_transpose(rho: FockOperator, mode: str = "b") -> FockOperator:
@@ -179,32 +186,61 @@ def _components(matrix: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _block_expm(matrices, t: float):
+    """exp(-i m t) for each Hermitian m in a list, per block of their joint nonzero pattern.
+
+    Returns (idx, blocks) per block size: idx (n_blocks, size) holds the indices
+    of each block, blocks (len(matrices), n_blocks, size, size) its propagators.
+    The blocks are the components of the union of the patterns, exact for every
+    matrix in the list.  Entries outside the blocks are zero in m and in m+, so
+    the Hermiticity defect taken over the blocks is the dense one.
+    """
+    pattern = np.zeros(matrices[0].shape, dtype=bool)
+    for m in matrices:
+        pattern |= m != 0
+    labels = _components(pattern)
+    sizes = np.bincount(labels)[labels]  # block size at every index
+    order = np.lexsort((labels, sizes))  # by block size, then block
+    groups = []
+    for size in np.flatnonzero(np.bincount(sizes)):
+        idx = order[sizes[order] == size].reshape(-1, size)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        groups.append((idx, np.array([m[rows, cols] for m in matrices])))
+    # per matrix: max|m - m+| against HERMITIAN_TOL * max(1, max|m|)
+    asym = np.max([abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)) for _, s in groups], 0)
+    scale = np.max([abs(s).max(axis=(1, 2, 3)) for _, s in groups], 0)
+    bad = np.flatnonzero(asym > HERMITIAN_TOL * np.maximum(1.0, scale))
+    if bad.size:
+        raise NonHermitianInput(
+            f"expm requires a Hermitian generator (defect {asym[bad[0]]:.3e} in matrix {bad[0]})"
+        )
+    out = []
+    for idx, sub in groups:
+        try:
+            evals, evecs = np.linalg.eigh(sub)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(f"eigendecomposition failed: {exc}") from exc
+        blocks = (evecs * np.exp(-1j * evals * t)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+        size = idx.shape[1]
+        defect = float(np.max(np.abs(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(size))))
+        if defect > UNITARY_TOL:
+            raise EigenFailure(f"propagator unitarity defect {defect:.3e}")
+        out.append((idx, blocks))
+    return out
+
+
 def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
     """Unitary exp(-i * matrix * t) of a Hermitian matrix, one block at a time.
 
     The blocks are the components of the nonzero pattern (a dense matrix is one
     block), so the result is exact.  Equal-size blocks share a stacked eigh; the
-    unitarity check runs per block, covering every entry of U+U - I that can be nonzero.
+    Hermiticity check reads the blocks and the unitarity check runs per block,
+    covering every entry of U+U - I that can be nonzero.  The blocks are
+    scattered into a dense U.
     """
-    defect = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if defect > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(matrix)))):
-        raise NonHermitianInput(f"expm requires a Hermitian generator (defect {defect:.3e})")
-    labels = _components(matrix)
-    sizes = np.bincount(labels)[labels]  # block size at every index
-    order = np.lexsort((labels, sizes))  # by block size, then block
     u = np.zeros(matrix.shape, dtype=complex)
-    for size in np.flatnonzero(np.bincount(sizes)):
-        idx = order[sizes[order] == size].reshape(-1, size)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        try:
-            evals, evecs = np.linalg.eigh(matrix[rows, cols])
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(f"eigendecomposition failed: {exc}") from exc
-        blocks = (evecs * np.exp(-1j * evals * t)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-        defect = float(np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(size))))
-        if defect > UNITARY_TOL:
-            raise EigenFailure(f"propagator unitarity defect {defect:.3e}")
-        u[rows, cols] = blocks
+    for idx, blocks in _block_expm([matrix], t):
+        u[idx[:, :, None], idx[:, None, :]] = blocks[0]
     return u
 
 

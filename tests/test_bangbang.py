@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import expm as scipy_expm
 from scipy.sparse.linalg import expm_multiply
 
 import ngfiber.bangbang as bb
 from ngfiber.errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
+    NonHermitianInput,
     ParameterError,
 )
 from ngfiber.fock import FockSpace, annihilation, expm_hermitian, number_operator, phase_shifter
@@ -192,6 +194,97 @@ def test_perturbed_propagation_matches_expm_multiply():
     for h in h_list:
         ref = expm_multiply(-1j * tau * h, pi * ref)
     assert_allclose(bb.propagate_bb(h_list, tau, psi0, pi), ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(2, 5),
+    st.integers(1, 4),
+    st.sampled_from((None, False, True)),
+    st.integers(0, 2**32 - 1),
+)
+def test_distinct_segment_patterns_match_scipy_expm(
+    num_modes, s_cut, cut, pairs, pulses_after, seed
+):
+    # the segments share one block partition, although one of them has its
+    # exchange coupling scaled to 0 (a diagonal pattern) and some repeat an H
+    space = FockSpace(cut)
+    assume(space.dim * (s_cut + 1) ** num_modes <= 120)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return tuple(rng.uniform(0.1, 1.0, num_modes))
+
+    bath = bb.ToyBath(num_modes, draw(), draw(), draw(), draw(), s_cut=s_cut,
+                      omega_a=rng.uniform(0.0, 3.0), omega_b=rng.uniform(0.0, 3.0))
+    n_seg = 2 * pairs
+    profile = bb.SegmentProfile.generate(n_seg, 1.0, 0.2, seed=seed, num_modes=num_modes)
+    uncoupled = rng.integers(n_seg)
+    profile.g_scales[uncoupled] = 0.0
+    distinct = [bb.build_hamiltonian(space, bath, i, profile) for i in range(n_seg)]
+    picks = rng.integers(0, n_seg, n_seg)
+    picks[rng.integers(n_seg)] = uncoupled
+    h_list = [distinct[i] for i in picks]
+    psi0 = rng.normal(size=distinct[0].shape[0]) + 1j * rng.normal(size=distinct[0].shape[0])
+    pi = bb.joint_phase_shifter(space, bath)
+    tau = rng.uniform(0.05, 1.0)
+    ref = psi0.copy()
+    for h in h_list:
+        step = scipy_expm(-1j * tau * h)
+        if pulses_after is None:
+            ref = step @ ref
+        else:
+            ref = pi * (step @ ref) if pulses_after else step @ (pi * ref)
+    if pulses_after is None:
+        psi = bb.propagate_free(h_list, tau, psi0)
+    else:
+        psi = bb.propagate_bb(h_list, tau, psi0, pi, pulses_after=pulses_after)
+    assert_allclose(psi, ref, rtol=0, atol=1e-12 * np.linalg.norm(psi0))
+
+
+def test_hermiticity_is_checked_per_segment_hamiltonian():
+    bath = bb.ToyBath(1, (1.0,), (0.3,), (0.1,), (0.2,), s_cut=2, omega_a=2.0, omega_b=1.3)
+    space = FockSpace(3)
+    h_list = [bb.build_hamiltonian(space, bath) for _ in range(4)]
+    psi0 = bb.joint_initial_state(build_state(1, 0.5, n_max=1), space, bath)
+    # an entry whose mirror is zero, in the third of four segments
+    assert h_list[2][0, 5] == 0 and h_list[2][5, 0] == 0
+    h_list[2] = h_list[2].copy()
+    h_list[2][0, 5] = 0.1
+    with pytest.raises(NonHermitianInput):
+        bb.propagate_free(h_list, 0.1, psi0)
+    # the tolerance scales with each matrix's own max|m|: a 5e-10 defect on an
+    # H of scale 1e3 passes, a 5e-12 defect on a unit-scale H does not
+    i, j = np.argwhere(np.triu(h_list[0], 1))[0]
+    big = 1e3 / np.max(np.abs(h_list[0])) * h_list[0]
+    big[i, j] += 5e-10
+    unit = h_list[1] / np.max(np.abs(h_list[1]))
+    bb.propagate_free([big, unit], 0.1, psi0)
+    bad = unit.copy()
+    bad[i, j] += 5e-12
+    with pytest.raises(NonHermitianInput):
+        bb.propagate_free([big, unit, bad], 0.1, psi0)
+
+
+def test_block_propagation_allocates_no_dense_propagator():
+    # dim 819 with 24 segments: one dense U is 10.7 MB, and the dense route peaked at 21.6 MB
+    bath = bb.ToyBath(2, (0.6, 1.4), (0.3, 0.3), (0.02, 0.02), (0.03, 0.03), s_cut=2,
+                      omega_a=2.0, omega_b=1.3)
+    space = FockSpace(12)
+    h_list = [bb.build_hamiltonian(space, bath)] * 24
+    psi0 = bb.joint_initial_state(build_state(0, 0.4, n_max=6), space, bath)
+    pi = bb.joint_phase_shifter(space, bath)
+    assert psi0.shape == (819,)
+    tracemalloc.start()
+    try:
+        psi = bb.propagate_bb(h_list, 0.3, psi0, pi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    assert peak <= 4_000_000
 
 
 def test_segment_profile_validation_and_seeding():

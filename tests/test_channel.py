@@ -1,6 +1,8 @@
 """Dephasing and dissipation channels on the fixed-offset manifold."""
 
+import contextlib
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from ngfiber.bath import (
     visibility_direct,
 )
 from ngfiber.channel import (
+    MANIFOLD_BUDGET,
     ChannelParams,
     _thermal_phase_means,
     evolve_dephasing,
@@ -27,7 +30,7 @@ from ngfiber.channel import (
     recovery_times,
     visibility_unity_time,
 )
-from ngfiber.errors import ParameterError, ZeroFrequency
+from ngfiber.errors import DimensionBudgetExceeded, ParameterError, ZeroFrequency
 from ngfiber.fock import FockOperator, FockSpace
 from ngfiber.negativity import negativity_analytic, negativity_fock
 from ngfiber.states import build_state, embed_density_matrix
@@ -325,3 +328,46 @@ def test_heavy_corner_runs_in_bounded_memory():
     assert peak < 50e6
     assert 0.0 < neg < negativity_analytic(state)
     assert 0.0 <= fid <= 1.0
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra: int = 1 << 30):
+    """Cap this process's address space at its current size plus `extra` bytes.
+
+    A refusal that regresses then fails with MemoryError instead of touching
+    gigabytes of memory.
+    """
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = used + extra if hard == resource.RLIM_INFINITY else min(used + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_oversized_manifold_matrix_is_refused_before_allocating():
+    # zeta = 0.999 truncates at n_max 21 920: a dense manifold matrix is 7.7 GB
+    state = build_state(1, 0.999)
+    assert state.n_max + 1 > MANIFOLD_BUDGET
+    pars = params(4.1e-8, gamma_plus=6.9e8, epsilon=1e-12)
+    for evolve in (evolve_dephasing, evolve_with_dissipation):
+        with address_space_headroom():
+            tracemalloc.start()
+            try:
+                with pytest.raises(DimensionBudgetExceeded):
+                    evolve(state, pars, warm_bath(4.0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def test_manifold_budget_admits_zeta_099():
+    # zeta = 0.99 truncates at n_max 1946, which the budget must admit
+    state = build_state(1, 0.99)
+    assert state.n_max + 1 <= MANIFOLD_BUDGET
+    rho = evolve_dephasing(state, params(1e-7, gamma_plus=7.3e9), warm_bath(4.0))
+    assert_allclose(np.trace(rho.rho).real, np.sum(np.abs(state.coeffs) ** 2), rtol=0, atol=1e-12)
