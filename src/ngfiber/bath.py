@@ -50,12 +50,17 @@ class BathSpec:
     def __post_init__(self):
         if self.omega_phonon <= 0:
             raise ParameterError("omega_phonon must be > 0")
-        if self.temperature < 0:
-            raise ParameterError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ParameterError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.omega_c <= 0:
             raise ParameterError("omega_c must be > 0")
         if not (0 < self.gibbs_tail_tol < 1):
             raise ParameterError("gibbs_tail_tol must be in (0, 1)")
+        if self.boltzmann_ratio() == 1.0:
+            raise ParameterError(
+                f"temperature {self.temperature} K is too high: the Boltzmann ratio "
+                "exp(-hbar Omega / kB T) rounds to 1"
+            )
 
     def boltzmann_ratio(self) -> float:
         """exp(-hbar Omega / kB T), the Gibbs weight ratio between levels."""

@@ -27,7 +27,7 @@ from . import validate as validate_mod
 from .bath import BathSpec, dissipation_rate_closed
 from .channel import ChannelParams, fidelity, negativity_after_dephasing, negativity_dissipative
 from .config import RunConfig
-from .design import FiberSpec, bb_timescale_ratio, max_spacing, segment_time, silica_preset, transit_time
+from .design import FiberSpec, bb_timescale_ratio, max_spacing, segment_time, transit_time
 from .errors import NgFiberError, ParameterError
 from .negativity import negativity_analytic
 from .states import build_state
@@ -204,9 +204,7 @@ def cmd_validate(args) -> int:
 def _sweep_point(run: RunConfig, assignment: dict):
     params_dict = dict(run.fixed)
     params_dict.update(assignment)
-    state = build_state(
-        int(params_dict["p"]), params_dict["zeta"], tail_tol=params_dict["tail_tol"]
-    )
+    state = build_state(params_dict["p"], params_dict["zeta"], tail_tol=params_dict["tail_tol"])
     bath = BathSpec(
         omega_phonon=params_dict["omega_phonon"],
         temperature=params_dict["temperature"],

@@ -5,15 +5,18 @@ superposition over the fixed-offset manifold |n, n+p>:
 
     |psi> = (1/P) sum_n zeta^(n+p) sqrt((n+p)!/n!) |n, n+p>,   |zeta| < 1,
 
-with P^2 = sum_n |zeta|^(2(n+p)) (n+p)!/n!.  Everything downstream (spectra,
-channels, design numbers) is built from this coefficient vector.
+with P^2 = sum_n term(n), term(n) = |zeta|^(2(n+p)) (n+p)!/n!.  Everything
+downstream (spectra, channels, design numbers) is built from this coefficient
+vector.  The series is one vector of log terms (_log_terms); its partial sums
+and analytic tail bounds give the truncation, P^2, the coefficients and the
+recorded tail bound alike, whether n_max is chosen by the tail rule or given.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,38 +33,65 @@ DEFAULT_TAIL_TOL = 1e-12
 _MAX_TERMS = 1_000_000
 
 
-def _series_scan(p: int, abs_zeta: float, tail_tol: float):
-    """Yield (n, term) for the norm series until the analytic tail bound passes.
+def _log_terms(p: int, log_az: float, n_top: int) -> np.ndarray:
+    """log term(n) for n = 0..n_top: 2(n+p) log|zeta| + sum_{j=1..p} log(n+j).
 
-    term(n) = |zeta|^(2(n+p)) (n+p)!/n!, accumulated in log space.  For
-    n >= n_max every term ratio is below r = |zeta|^2 (1 + p/(n_max+1)), so
-    the remaining tail is bounded by term(n_max) * r / (1 - r).  The scan
-    stops at the smallest n_max whose bound is below tail_tol relative to the
-    partial sum (and absolutely, whichever is stricter).
+    log((n+p)!/n!) is added one j at a time: no lgamma difference to cancel
+    and no n x p array.
     """
-    log_az2 = 2.0 * math.log(abs_zeta)
-    total = 0.0
-    n = 0
-    while n <= _MAX_TERMS:
-        log_term = (n + p) * log_az2 + math.lgamma(n + p + 1) - math.lgamma(n + 1)
-        term = math.exp(log_term)
-        total += term
-        yield n, term, total
-        r = abs_zeta * abs_zeta * (1.0 + p / (n + 1.0))
-        if r < 1.0:
-            tail_bound = term * r / (1.0 - r)
-            if tail_bound < tail_tol * min(1.0, total):
-                return
-        n += 1
-    raise ParameterError(
-        f"norm series did not converge within {_MAX_TERMS} terms (|zeta| too close to 1?)"
-    )
+    log_terms = np.arange(p, n_top + p + 1.0) * (2.0 * log_az)
+    for j in range(1, p + 1):
+        log_terms += np.log(np.arange(j, n_top + j + 1.0))
+    return log_terms
+
+
+def _series(p: int, az: float, n_top: int):
+    """(log terms, partial sums S_n, tail bounds) of the norm series, n = 0..n_top.
+
+    For n' >= n every term ratio is below r = |zeta|^2 (1 + p/(n+1)), so when
+    r < 1 the mass beyond n is at most term(n) r / (1 - r); otherwise the
+    bound is inf.  The partial sums run in index order, like a running total.
+    """
+    log_terms = _log_terms(p, math.log(az), n_top)
+    r = az * az * (1.0 + p / np.arange(1.0, n_top + 2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.exp(log_terms)
+        tails = np.where(r < 1.0, terms * r / (1.0 - r), math.inf)
+        return log_terms, terms.cumsum(), tails
+
+
+def _truncate(p: int, az: float, tail_tol: float):
+    """The norm series through its truncation index: (log terms, S_n, tails, n_max).
+
+    n_max is the smallest n whose tail bound is below tail_tol relative to the
+    partial sum (and absolutely, whichever is stricter).  The first vector is
+    sized from where |zeta|^(2n) n^p / (1 - |zeta|^2) reaches tail_tol, with a
+    25% margin (the estimate falls short by up to ~13%), and doubled up to
+    _MAX_TERMS while no n passes.
+    """
+    log_tol, log_az2 = math.log(tail_tol), 2.0 * math.log(az)
+    n0 = max(log_tol / log_az2, 0.0)  # |zeta|^(2 n0) = tail_tol
+    guess = (log_tol + math.log1p(-az * az) - p * math.log1p(n0)) / log_az2
+    n_top = int(min(1.25 * max(guess, 0.0) + 8, _MAX_TERMS))
+    while True:
+        log_terms, sums, tails = _series(p, az, n_top)
+        passed = tails < tail_tol * np.minimum(1.0, sums)
+        n_max = int(passed.argmax())
+        if passed[n_max]:
+            return log_terms, sums, tails, n_max
+        if n_top == _MAX_TERMS:
+            raise ParameterError(
+                f"norm series did not converge within {_MAX_TERMS} terms (|zeta| too close to 1?)"
+            )
+        n_top = min(2 * n_top, _MAX_TERMS)
 
 
 def _validate_zeta(p: int, zeta: complex) -> float:
-    if p < 0 or int(p) != p:
+    if not (p >= 0 and math.isfinite(p) and int(p) == p):
         raise ParameterError(f"p must be a non-negative integer, got {p}")
     az = abs(zeta)
+    if math.isnan(az):
+        raise ParameterError(f"zeta must be a number, got {zeta}")
     if az >= 1.0:
         raise DivergentState(f"|zeta| = {az} >= 1: the state norm diverges")
     if az == 0.0 and p > 0:
@@ -75,15 +105,8 @@ def normalization(p: int, zeta: complex, tail_tol: float = DEFAULT_TAIL_TOL):
     Returns (P2, n_max) where n_max is the smallest truncation whose analytic
     geometric tail bound is below tail_tol.
     """
-    az = _validate_zeta(p, zeta)
-    if tail_tol <= 0:
-        raise ParameterError("tail_tol must be positive")
-    if az == 0.0:
-        return 1.0, 0
-    n_max, total = 0, 0.0
-    for n, _term, total in _series_scan(p, az, tail_tol):
-        n_max = n
-    return total, n_max
+    state = build_state(p, zeta, tail_tol)
+    return state.norm_p2, state.n_max
 
 
 @dataclass
@@ -122,36 +145,36 @@ def build_state(
     neglected tail mass is below tail_tol.  Passing n_max forces an explicit
     truncation instead (useful when a downstream dense computation must stay
     small); the achieved tail bound is recorded either way.  Coefficients are
-    renormalized over the kept range, so sum |c_n|^2 = 1 exactly.
+    renormalized over the kept range, so sum |c_n|^2 = 1 exactly.  A kept
+    series whose P^2 is not a positive finite double (p = 150 at zeta = 0.9
+    overflows) raises ParameterError.
     """
     az = _validate_zeta(p, zeta)
+    if not tail_tol > 0:
+        raise ParameterError(f"tail_tol must be positive, got {tail_tol}")
     if az == 0.0:
         return NonGaussianState(0, zeta, 0, np.array([1.0 + 0.0j]), 1.0, 0.0)
 
-    log_az = math.log(az)
+    p = int(p)
     if n_max is None:
-        p2, n_max = normalization(p, zeta, tail_tol)
+        log_terms, sums, tails, n_max = _truncate(p, az, tail_tol)
     else:
         if n_max < 0:
             raise ParameterError("n_max must be >= 0")
-        p2 = 0.0
-        for n in range(n_max + 1):
-            p2 += math.exp(2 * (n + p) * log_az + math.lgamma(n + p + 1) - math.lgamma(n + 1))
+        log_terms, sums, tails = _series(p, az, n_max)
+    p2 = float(sums[n_max])
+    if not 0.0 < p2 < math.inf:
+        raise ParameterError(
+            f"norm series leaves double precision at p = {p}, |zeta| = {az}: P^2 = {p2}"
+        )
 
     ns = np.arange(n_max + 1)
-    log_half = (ns + p) * log_az + 0.5 * (
-        np.array([math.lgamma(n + p + 1) - math.lgamma(n + 1) for n in ns])
-    )
-    mags = np.exp(log_half - 0.5 * math.log(p2))
+    mags = np.exp(0.5 * (log_terms[: n_max + 1] - math.log(p2)))
     theta = cmath.phase(complex(zeta))
     coeffs = mags * np.exp(1j * theta * (ns + p))
-
     # analytic bound on the mass left beyond the kept range
-    r = az * az * (1.0 + p / (n_max + 1.0))
-    last = math.exp(2 * (n_max + p) * log_az + math.lgamma(n_max + p + 1) - math.lgamma(n_max + 1))
-    tail_bound = last * r / (1.0 - r) / p2 if r < 1.0 else math.inf
-
-    return NonGaussianState(int(p), complex(zeta), int(n_max), coeffs, p2, tail_bound)
+    tail_bound = float(tails[n_max]) / p2
+    return NonGaussianState(p, complex(zeta), int(n_max), coeffs, p2, tail_bound)
 
 
 @dataclass

@@ -39,6 +39,11 @@ def test_bathspec_validation():
         BathSpec(omega_phonon=1.0, temperature=0.2, omega_c=0.0)
     with pytest.raises(ParameterError):
         BathSpec(omega_phonon=1.0, temperature=0.2, omega_c=1.0, gibbs_tail_tol=1.0)
+    # at 1e20 K exp(-hbar Omega / kB T) rounds to 1 and the Gibbs cut would
+    # divide by log q = 0
+    for temperature in (1e20, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="temperature"):
+            make_bath(temperature)
 
 
 def test_boltzmann_ratio():
@@ -46,6 +51,7 @@ def test_boltzmann_ratio():
     expected = math.exp(-HBAR * 2.62e10 / (K_B * 0.2))
     assert_allclose(bath.boltzmann_ratio(), expected, rtol=1e-15)
     assert make_bath(0.0).boltzmann_ratio() == 0.0
+    assert 0.0 < make_bath(1e6).boltzmann_ratio() < 1.0
 
 
 def test_gibbs_weights_geometric():

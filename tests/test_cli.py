@@ -308,6 +308,28 @@ def test_sweep_error_paths(tmp_path):
     assert run_cli("sweep", "--config", cfg, "--out", out, "--jobs", "0") == 2
 
 
+@pytest.mark.parametrize(
+    "grid",
+    ["p = 1.5", "p = nan", "zeta = nan", "temperature = 1e20", "temperature = inf"],
+)
+def test_sweep_refuses_invalid_points(tmp_path, grid):
+    # a fractional p is refused, not truncated; at 1e20 K the Boltzmann ratio
+    # rounds to 1
+    cfg = sweep_config(tmp_path, f"[grid]\n{grid}\n[output]\nobservables = fidelity\n")
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig1", "--p", "150", "--zeta-min", "0.9", "--zeta-max", "0.9", "--steps", "2"],
+     ["fig1", "--tail-tol", "nan", "--steps", "2"],
+     ["fig2", "--zeta", "nan", "--steps", "2"]],
+)
+def test_unrepresentable_states_exit_two(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+    assert "parameter error" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_two(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli("fig1", "--out", str(missing_dir), "--steps", "3") == 2

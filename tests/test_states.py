@@ -1,9 +1,12 @@
 """State construction: norm series, coefficients, embedding, wavefunction."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss, hermval
 from numpy.testing import assert_allclose
 
@@ -84,6 +87,82 @@ def test_build_state_explicit_truncation():
     # two-term truncation has a hand-checkable split: 2/3 and 1/3
     tiny = build_state(1, 0.5, n_max=1)
     assert_allclose(np.abs(tiny.coeffs) ** 2, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
+
+
+def lgamma_scan(p: int, zeta: complex, tail_tol: float):
+    """Per-term oracle for the norm series: (n_max, coeffs, tail_bound).
+
+    Walks n upward with term(n) = exp((n+p) log|zeta|^2 + lgamma(n+p+1) -
+    lgamma(n+1)), keeps a running total, and stops at the first n whose
+    geometric tail bound passes the stop rule.
+    """
+    az = abs(zeta)
+    log_az2 = 2.0 * math.log(az)
+    logs, total, n = [], 0.0, 0
+    while True:
+        logs.append((n + p) * log_az2 + math.lgamma(n + p + 1) - math.lgamma(n + 1))
+        term = math.exp(logs[-1])
+        total += term
+        r = az * az * (1.0 + p / (n + 1.0))
+        if r < 1.0 and term * r / (1.0 - r) < tail_tol * min(1.0, total):
+            break
+        n += 1
+    phases = np.exp(1j * cmath.phase(zeta) * np.arange(p, n + p + 1))
+    coeffs = np.exp(0.5 * (np.array(logs) - math.log(total))) * phases
+    return n, coeffs, term * r / (1.0 - r) / total
+
+
+def assert_matches_lgamma_scan(p, zeta, tail_tol):
+    n_max, coeffs, tail_bound = lgamma_scan(p, zeta, tail_tol)
+    state = build_state(p, zeta, tail_tol)
+    assert state.n_max == n_max
+    assert_allclose(state.coeffs, coeffs, rtol=0, atol=1e-12)
+    assert_allclose(state.tail_bound, tail_bound, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=1e-3, max_value=0.999),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.floats(min_value=-15.0, max_value=-4.0),
+)
+def test_series_matches_lgamma_scan(p, az, theta, log_tol):
+    assert_matches_lgamma_scan(p, az * cmath.exp(1j * theta), 10.0**log_tol)
+
+
+@pytest.mark.parametrize("p, zeta, tail_tol", [(0, 0.9999, 1e-12), (2, -0.9999j, 1e-6)])
+def test_series_matches_lgamma_scan_near_unit_squeezing(p, zeta, tail_tol):
+    assert_matches_lgamma_scan(p, zeta, tail_tol)
+
+
+def test_series_refuses_beyond_max_terms():
+    with pytest.raises(ParameterError, match="did not converge within 1000000 terms"):
+        build_state(1, 0.99999)
+
+
+def test_series_overflow_is_refused():
+    # (n+150)!/n! 0.81^(n+150) overflows a double: a typed refusal, not an
+    # OverflowError or an infinite P^2 with all-zero coefficients
+    with pytest.raises(ParameterError, match="double precision"):
+        build_state(150, 0.9)
+    with pytest.raises(ParameterError, match="double precision"):
+        normalization(150, 0.9)
+    with pytest.raises(ParameterError, match="double precision"):
+        build_state(150, 0.9, n_max=700)
+
+
+@pytest.mark.parametrize(
+    "name, p, zeta, tail_tol",
+    [("p", math.nan, 0.5, 1e-12), ("p", math.inf, 0.5, 1e-12), ("zeta", 1, math.nan, 1e-12),
+     ("zeta", 1, complex(0.3, math.nan), 1e-12), ("tail_tol", 1, 0.5, math.nan)],
+)
+def test_nan_inputs_are_refused(name, p, zeta, tail_tol):
+    # refused up front, naming the input, instead of scanning _MAX_TERMS terms
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        build_state(p, zeta, tail_tol)
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        normalization(p, zeta, tail_tol)
 
 
 def test_tail_bound_is_recorded_and_small():
