@@ -2,11 +2,13 @@
 
 The joint Hamiltonian couples the two fiber modes to a handful of truncated
 oscillator modes through a pair-exchange (Raman) term g (a+ b B + a b+ B+)
-and number-diagonal dephasing terms (G_a n_a + G_b n_b) B+B.  It is built from
-occupation labels and conserves n_a + n_b and n_a + sum_i s_i, so it is
-block diagonal.  Propagation decomposes the distinct segment Hamiltonians once,
-over the blocks of their joint pattern (`fock._block_expm`), and advances the
-state block by block; no dense propagator is formed.  Interleaving the
+and number-diagonal dephasing terms (G_a n_a + G_b n_b) B+B.  It conserves
+n_a + n_b and n_a + sum_i s_i, so it is built straight into one block per
+sector of those two numbers (`SectorHamiltonian`), from a layout computed once
+per (total_cut, num_modes, s_cut); no dense joint matrix exists.  Propagation
+eigensolves the distinct segment Hamiltonians' blocks as built, one stacked
+eigh per block size (`fock._block_expm`), and advances the state block by
+block; no dense propagator is formed either.  Interleaving the
 quarter-cycle phase shifter Pi = exp(i pi (n_a - n_b)/2), a phase vector,
 between segment propagators flips the sign of the pair-exchange term each
 segment, so its first-order effect cancels over segment pairs while the
@@ -15,15 +17,18 @@ manifold-preserving terms accumulate unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionBudgetExceeded, DimensionMismatch, ParameterError
-from .fock import FockOperator, FockSpace, _block_expm, _quarter_phases
+from .fock import FockOperator, FockSpace, _block_expm, _quarter_phases, _size_groups
 from .negativity import negativity_fock
 from .states import NonGaussianState, embed
 
+# Largest joint dimension.  It bounds psi and the sector blocks of H (at most
+# dim * (largest sector) entries: 0.57 MB at dim 3696), not a dim^2 array.
 DIMENSION_BUDGET = 4096
 
 
@@ -41,15 +46,21 @@ class ToyBath:
     omega_b: float = 0.0
 
     def __post_init__(self):
-        if self.num_modes < 1:
-            raise ParameterError("num_modes must be >= 1")
-        if self.s_cut < 1:
-            raise ParameterError("s_cut must be >= 1")
+        for name in ("num_modes", "s_cut"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("frequencies", "raman_couplings", "dephasing_rates_a", "dephasing_rates_b"):
             vals = tuple(getattr(self, name))
             setattr(self, name, vals)
             if len(vals) != self.num_modes:
                 raise ParameterError(f"{name} must have num_modes = {self.num_modes} entries")
+            if not np.all(np.isfinite(vals)):
+                raise ParameterError(f"{name} must be finite, got {vals}")
+        if not (np.isfinite(self.omega_a) and np.isfinite(self.omega_b)):
+            raise ParameterError(
+                f"omega_a and omega_b must be finite, got {self.omega_a}, {self.omega_b}"
+            )
 
     @property
     def mode_dim(self) -> int:
@@ -74,6 +85,8 @@ class SegmentProfile:
             raise ParameterError("num_segments must be an even integer >= 2")
         self.g_scales = np.asarray(self.g_scales, dtype=float)
         self.dephasing_scales = np.asarray(self.dephasing_scales, dtype=float)
+        if not (np.all(np.isfinite(self.g_scales)) and np.all(np.isfinite(self.dephasing_scales))):
+            raise ParameterError("segment scales must be finite")
 
     @classmethod
     def homogeneous(cls, num_segments: int, delta: float, num_modes: int) -> "SegmentProfile":
@@ -91,11 +104,106 @@ class SegmentProfile:
         return cls(num_segments, delta, g, d, seed=seed)
 
 
-def _joint_occupations(space: FockSpace, bath: ToyBath):
-    """n_a, n_b and s_i (one row per mode, s_0 the leading bath digit) per joint index."""
-    strides = bath.mode_dim ** np.arange(bath.num_modes - 1, -1, -1)
-    s = np.tile(np.arange(bath.bath_dim()) // strides[:, None] % bath.mode_dim, space.dim)
-    return np.repeat(space.n_a, bath.bath_dim()), np.repeat(space.n_b, bath.bath_dim()), s
+@dataclass(frozen=True, eq=False)
+class _SectorLayout:
+    """Where each entry of a joint Hamiltonian sits in its block form."""
+
+    sector: np.ndarray  # per joint index: the smallest joint index of its sector
+    groups: tuple  # per block size: (joint indices (n_blocks, size), offset in the flat vector)
+    order: np.ndarray  # joint index at each position of block order
+    n_a: np.ndarray  # occupations in block order
+    n_b: np.ndarray
+    s: np.ndarray  # (num_modes, dim), s_0 the leading bath digit
+    diag: np.ndarray  # flat position of each diagonal entry, in block order
+    exchange: tuple  # per mode: sqrt((n_a+1) n_b s_i), positions of <dst|H|src> and <src|H|dst>
+    size: int  # length of the flat vector
+
+
+@functools.cache
+def _sector_layout(total_cut: int, num_modes: int, s_cut: int) -> _SectorLayout:
+    """Block form shared by every Hamiltonian on one joint space.
+
+    H conserves N = n_a + n_b and M = n_a + sum_i s_i, so each sector (N, M) is
+    one block, labelled by its smallest joint index and grouped by size as
+    `fock._size_groups` orders them.  The flat vector holds the blocks
+    row-major, group after group.  A sector may split into several components
+    (N = 0, or a segment whose g is 0); its block is then merely sparser.
+    """
+    space = FockSpace(total_cut)
+    mode_dim = s_cut + 1
+    bath_dim = mode_dim**num_modes
+    strides = mode_dim ** np.arange(num_modes - 1, -1, -1)
+    n_a = np.repeat(space.n_a, bath_dim)
+    n_b = np.repeat(space.n_b, bath_dim)
+    s = np.tile(np.arange(bath_dim) // strides[:, None] % mode_dim, space.dim)
+    dim = n_a.size
+    code = (n_a + n_b) * (total_cut + num_modes * s_cut + 1) + n_a + s.sum(axis=0)
+    first = np.full(code.max() + 1, dim)
+    np.minimum.at(first, code, np.arange(dim))
+    sector = first[code]
+    idx_groups = _size_groups(sector)
+    # per joint index: flat start of its block, its place in the block, the block size
+    start, local, width = (np.empty(dim, dtype=np.intp) for _ in range(3))
+    groups, offset = [], 0
+    for idx in idx_groups:
+        n_blocks, size = idx.shape
+        start[idx] = offset + size * size * np.arange(n_blocks)[:, None]
+        local[idx] = np.arange(size)
+        width[idx] = size
+        groups.append((idx, offset))
+        offset += idx.size * size
+
+    def position(row, col):
+        return start[row] + local[row] * width[row] + local[col]
+
+    exchange = []
+    for i in range(num_modes):
+        # a+ b B_i: next system index of the same total, one quantum of mode i fewer
+        src = np.flatnonzero((n_b > 0) & (s[i] > 0))
+        dst = src + bath_dim - strides[i]
+        amp = np.sqrt(n_a[src] + 1) * np.sqrt(n_b[src]) * np.sqrt(s[i, src])
+        exchange.append((amp, position(dst, src), position(src, dst)))
+    order = np.concatenate([idx.ravel() for idx in idx_groups])
+    layout = _SectorLayout(
+        sector, tuple(groups), order, n_a[order], n_b[order], s[:, order],
+        position(order, order), tuple(exchange), offset,
+    )
+    # every Hamiltonian on this space shares these arrays
+    for arr in (sector, order, layout.n_a, layout.n_b, layout.s, layout.diag, *idx_groups,
+                *(a for mode in exchange for a in mode)):
+        arr.flags.writeable = False
+    return layout
+
+
+@dataclass(frozen=True, eq=False)
+class SectorHamiltonian:
+    """A joint Hamiltonian as its blocks over the conserved sectors.
+
+    `data` holds every block row-major, blocks of one size together
+    (`layout.groups`); entries outside the blocks are zero.  `toarray()`
+    scatters it into a dense matrix, for tests and oracles.
+    """
+
+    layout: _SectorLayout
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        dim = self.layout.order.size
+        return dim, dim
+
+    def entries(self) -> tuple:
+        """(rows, cols): the joint indices of each entry of `data`."""
+        rows, cols = [], []
+        for idx, _ in self.layout.groups:
+            rows.append(np.repeat(idx, idx.shape[1], axis=1).ravel())
+            cols.append(np.tile(idx, idx.shape[1]).ravel())
+        return np.concatenate(rows), np.concatenate(cols)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.entries()] = self.data
+        return out
 
 
 def joint_dim(space: FockSpace, bath: ToyBath) -> int:
@@ -114,33 +222,43 @@ def build_hamiltonian(
     bath: ToyBath,
     segment: int = 0,
     profile: SegmentProfile | None = None,
-) -> np.ndarray:
-    """Dense Hermitian joint Hamiltonian for one fiber segment.
+) -> SectorHamiltonian:
+    """Hermitian joint Hamiltonian for one fiber segment, in sector-block form.
 
     H = omega_a n_a + omega_b n_b + sum_i Omega_i B_i+ B_i
         + sum_i g_i (a+ b B_i + a b+ B_i+)
         + sum_i (G_a^i n_a + G_b^i n_b) B_i+ B_i
 
     With a profile, the couplings of the given segment index are scaled by
-    its perturbation factors.
+    its perturbation factors.  Returns a `SectorHamiltonian`, not a dense
+    matrix: one flat vector of the blocks of the conserved sectors, filled
+    with a few vector operations per mode; `toarray()` gives the dense H.
     """
     check_budget(space, bath)
-    n_a, n_b, s = _joint_occupations(space, bath)
+    if profile is not None:
+        shape = (profile.num_segments, bath.num_modes)
+        if profile.g_scales.shape != shape or profile.dephasing_scales.shape != shape:
+            raise ParameterError(
+                f"profile scales must have shape {shape}, got {profile.g_scales.shape} "
+                f"and {profile.dephasing_scales.shape}"
+            )
+        if not (isinstance(segment, (int, np.integer)) and 0 <= segment < profile.num_segments):
+            raise ParameterError(
+                f"segment {segment} is outside [0, {profile.num_segments}) of the profile"
+            )
+    layout = _sector_layout(space.total_cut, bath.num_modes, bath.s_cut)
+    n_a, n_b, s = layout.n_a, layout.n_b, layout.s
     diag = bath.omega_a * n_a + bath.omega_b * n_b
-    h = np.zeros((n_a.size, n_a.size), dtype=complex)
-    for i in range(bath.num_modes):
+    data = np.zeros(layout.size, dtype=complex)
+    for i, (amp, lower, upper) in enumerate(layout.exchange):
         g, ga, gb = bath.raman_couplings[i], bath.dephasing_rates_a[i], bath.dephasing_rates_b[i]
         if profile is not None:
             d = profile.dephasing_scales[segment, i]
             g, ga, gb = g * profile.g_scales[segment, i], ga * d, gb * d
         diag = diag + (bath.frequencies[i] + ga * n_a + gb * n_b) * s[i]
-        # a+ b B_i: next system index of the same total, one quantum of mode i fewer
-        src = np.flatnonzero((n_b > 0) & (s[i] > 0))
-        dst = src + bath.bath_dim() - bath.mode_dim ** (bath.num_modes - 1 - i)
-        amp = g * (np.sqrt(n_a[src] + 1) * np.sqrt(n_b[src]) * np.sqrt(s[i, src]))
-        h[dst, src] = h[src, dst] = amp
-    np.fill_diagonal(h, diag)
-    return h
+        data[lower] = data[upper] = g * amp
+    data[layout.diag] = diag
+    return SectorHamiltonian(layout, data)
 
 
 def joint_phase_shifter(space: FockSpace, bath: ToyBath) -> np.ndarray:
@@ -151,43 +269,57 @@ def joint_phase_shifter(space: FockSpace, bath: ToyBath) -> np.ndarray:
 def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None, pulses_after=False):
     """Advance psi through the segments, block by block, optionally pulsing each one.
 
-    Each distinct Hamiltonian (by identity) is decomposed once, over the blocks
-    of the distinct ones' joint pattern.  psi and the pulse phases are permuted
-    into block order once; each segment multiplies every size group in place.
+    Each distinct Hamiltonian (by identity) is decomposed once: their flat
+    vectors are stacked and each size group is eigensolved as built.  psi and
+    the pulse phases are permuted into block order once; each segment
+    multiplies every size group in place.
     """
     distinct = {}
     for h in h_list:
+        if not isinstance(h, SectorHamiltonian):
+            raise ParameterError(
+                f"segment Hamiltonians must come from build_hamiltonian, got {type(h).__name__}"
+            )
         if h.shape[0] != psi.shape[0]:
             raise DimensionMismatch("state and Hamiltonian dimensions differ")
         distinct.setdefault(id(h), (len(distinct), h))
     if not distinct:
         return psi
-    groups = _block_expm([h for _, h in distinct.values()], tau)
-    order = np.concatenate([idx.ravel() for idx, _ in groups])
-    x = psi[order]
-    phases = None if pi_op is None else pi_op[order]
+    layout = h_list[0].layout
+    if any(h.layout is not layout for _, h in distinct.values()):
+        raise DimensionMismatch("segment Hamiltonians act on different joint spaces")
+    data = np.stack([h.data for _, h in distinct.values()])
+    stacks = [
+        data[:, off : off + idx.size * idx.shape[1]].reshape(len(distinct), *idx.shape, -1)
+        for idx, off in layout.groups
+    ]
+    props = _block_expm(stacks, tau)
+    x = psi[layout.order]
+    phases = None if pi_op is None else pi_op[layout.order]
     views, start = [], 0
-    for idx, _ in groups:
+    for idx, _ in layout.groups:
         views.append(x[start : start + idx.size].reshape(*idx.shape, 1))
         start += idx.size
     for h in h_list:
         k = distinct[id(h)][0]
         if phases is not None and not pulses_after:
             x *= phases
-        for view, (_, blocks) in zip(views, groups):
+        for view, blocks in zip(views, props):
             view[...] = np.matmul(blocks[k], view)
         if phases is not None and pulses_after:
             x *= phases
     out = np.empty_like(x)
-    out[order] = x
+    out[layout.order] = x
     return out
 
 
 def propagate_free(h_list, tau: float, psi0: np.ndarray) -> np.ndarray:
     """Apply the segment propagators in order with no pulses.
 
-    No dense propagator is formed: the segments are advanced per block of their
-    Hamiltonians' joint nonzero pattern (`fock._block_expm`).
+    h_list holds `SectorHamiltonian`s from `build_hamiltonian`; anything else
+    (a dense ndarray included) raises ParameterError.  Their sector blocks are
+    eigensolved as built (`fock._block_expm`) and psi is advanced block by
+    block: no dense joint matrix and no dense propagator are formed.
     """
     return _propagate(list(h_list), tau, np.asarray(psi0, dtype=complex))
 
@@ -206,8 +338,10 @@ def propagate_bb(
     each segment instead (strictly paired variant).  Both cancel the
     pair-exchange coupling to first order; they differ only at the walk's
     boundary.  Requires an even number of segments; pi_op is a phase vector.
-    The distinct segment Hamiltonians share one blocked eigendecomposition and
-    psi is advanced block by block, so no dense propagator is formed.
+    h_list holds `SectorHamiltonian`s from `build_hamiltonian` (a dense
+    ndarray raises ParameterError); the distinct ones share one stacked eigh
+    per block size and psi is advanced block by block, so neither a dense
+    joint matrix nor a dense propagator is formed.
     """
     n = len(h_list)
     if n < 2 or n % 2 != 0:

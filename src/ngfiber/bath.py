@@ -48,12 +48,12 @@ class BathSpec:
     gibbs_tail_tol: float = DEFAULT_GIBBS_TAIL_TOL
 
     def __post_init__(self):
-        if self.omega_phonon <= 0:
-            raise ParameterError("omega_phonon must be > 0")
+        if not 0 < self.omega_phonon < math.inf:
+            raise ParameterError(f"omega_phonon must be finite and > 0, got {self.omega_phonon}")
         if not 0 <= self.temperature < math.inf:
             raise ParameterError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.omega_c <= 0:
-            raise ParameterError("omega_c must be > 0")
+        if not 0 < self.omega_c < math.inf:
+            raise ParameterError(f"omega_c must be finite and > 0, got {self.omega_c}")
         if not (0 < self.gibbs_tail_tol < 1):
             raise ParameterError("gibbs_tail_tol must be in (0, 1)")
         if self.boltzmann_ratio() == 1.0:

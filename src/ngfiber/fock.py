@@ -3,10 +3,11 @@
 Basis states |n_a, n_b> with n_a + n_b <= total_cut are enumerated in a fixed
 order (ascending total photon number, then ascending n_a), so every matrix
 representation is reproducible across runs.  Propagators are computed per
-block of the generators' nonzero pattern, so conserved numbers come for free:
-`_block_expm` decomposes a whole list of Hermitian matrices over the blocks of
-their joint pattern, with one stacked eigh per block size, and `expm_hermitian`
-scatters the blocks of one matrix into a dense unitary.
+block: `_block_expm` takes Hermitian blocks already stacked by size (one stacked
+eigh per size, for a whole list of matrices at once), and `expm_hermitian`
+finds the blocks of a dense matrix as the components of its nonzero pattern,
+so conserved numbers come for free, and scatters them into a dense unitary.
+Callers that know their blocks in advance (`bangbang`) pass them straight in.
 """
 
 from __future__ import annotations
@@ -186,46 +187,48 @@ def _components(matrix: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _block_expm(matrices, t: float):
-    """exp(-i m t) for each Hermitian m in a list, per block of their joint nonzero pattern.
+def _size_groups(labels: np.ndarray) -> list:
+    """The indices of each label's block, one (n_blocks, size) array per block size.
 
-    Returns (idx, blocks) per block size: idx (n_blocks, size) holds the indices
-    of each block, blocks (len(matrices), n_blocks, size, size) its propagators.
-    The blocks are the components of the union of the patterns, exact for every
-    matrix in the list.  Entries outside the blocks are zero in m and in m+, so
-    the Hermiticity defect taken over the blocks is the dense one.
+    Sizes ascend; within a size, blocks follow their labels, and each block
+    lists its indices in ascending order.  Labels are non-negative integers.
     """
-    pattern = np.zeros(matrices[0].shape, dtype=bool)
-    for m in matrices:
-        pattern |= m != 0
-    labels = _components(pattern)
     sizes = np.bincount(labels)[labels]  # block size at every index
     order = np.lexsort((labels, sizes))  # by block size, then block
-    groups = []
-    for size in np.flatnonzero(np.bincount(sizes)):
-        idx = order[sizes[order] == size].reshape(-1, size)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        groups.append((idx, np.array([m[rows, cols] for m in matrices])))
-    # per matrix: max|m - m+| against HERMITIAN_TOL * max(1, max|m|)
-    asym = np.max([abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)) for _, s in groups], 0)
-    scale = np.max([abs(s).max(axis=(1, 2, 3)) for _, s in groups], 0)
+    return [
+        order[sizes[order] == size].reshape(-1, size) for size in np.flatnonzero(np.bincount(sizes))
+    ]
+
+
+def _block_expm(stacks, t: float) -> list:
+    """exp(-i m t) per block, for stacks of Hermitian blocks.
+
+    Each stack is (n_matrices, n_blocks, size, size): the blocks of one size
+    for every matrix in a list.  Returns the propagators in the same shapes.
+    The Hermiticity check is per matrix, max|m - m+| over all its blocks
+    against HERMITIAN_TOL * max(1, max|m|); entries outside the blocks are zero
+    in m and in m+, so this is the dense defect.  The unitarity check runs per
+    stack.
+    """
+    asym = np.max([abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)) for s in stacks], 0)
+    scale = np.max([abs(s).max(axis=(1, 2, 3)) for s in stacks], 0)
     bad = np.flatnonzero(asym > HERMITIAN_TOL * np.maximum(1.0, scale))
     if bad.size:
         raise NonHermitianInput(
             f"expm requires a Hermitian generator (defect {asym[bad[0]]:.3e} in matrix {bad[0]})"
         )
     out = []
-    for idx, sub in groups:
+    for sub in stacks:
         try:
             evals, evecs = np.linalg.eigh(sub)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(f"eigendecomposition failed: {exc}") from exc
         blocks = (evecs * np.exp(-1j * evals * t)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
-        size = idx.shape[1]
+        size = sub.shape[-1]
         defect = float(np.max(np.abs(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(size))))
         if defect > UNITARY_TOL:
             raise EigenFailure(f"propagator unitarity defect {defect:.3e}")
-        out.append((idx, blocks))
+        out.append(blocks)
     return out
 
 
@@ -238,8 +241,10 @@ def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
     covering every entry of U+U - I that can be nonzero.  The blocks are
     scattered into a dense U.
     """
+    groups = _size_groups(_components(matrix))
+    stacks = [matrix[idx[:, :, None], idx[:, None, :]][None] for idx in groups]
     u = np.zeros(matrix.shape, dtype=complex)
-    for idx, blocks in _block_expm([matrix], t):
+    for idx, blocks in zip(groups, _block_expm(stacks, t)):
         u[idx[:, :, None], idx[:, None, :]] = blocks[0]
     return u
 

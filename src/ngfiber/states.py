@@ -67,7 +67,10 @@ def _truncate(p: int, az: float, tail_tol: float):
     partial sum (and absolutely, whichever is stricter).  The first vector is
     sized from where |zeta|^(2n) n^p / (1 - |zeta|^2) reaches tail_tol, with a
     25% margin (the estimate falls short by up to ~13%), and doubled up to
-    _MAX_TERMS while no n passes.
+    _MAX_TERMS while no n passes.  A vector whose last tail bound is 0 with no
+    n passing has a test threshold that underflows (P^2 is 0 or subnormal, as
+    at p = 1, |zeta| = 1e-170) and no later term to lift it: that is refused at
+    once, not blamed on |zeta| -> 1.
     """
     log_tol, log_az2 = math.log(tail_tol), 2.0 * math.log(az)
     n0 = max(log_tol / log_az2, 0.0)  # |zeta|^(2 n0) = tail_tol
@@ -79,6 +82,11 @@ def _truncate(p: int, az: float, tail_tol: float):
         n_max = int(passed.argmax())
         if passed[n_max]:
             return log_terms, sums, tails, n_max
+        if tails[-1] == 0.0:
+            raise ParameterError(
+                f"norm series underflows at p = {p}, |zeta| = {az}: P^2 = {sums[-1]:.3g} "
+                f"(largest log term {log_terms.max():.1f})"
+            )
         if n_top == _MAX_TERMS:
             raise ParameterError(
                 f"norm series did not converge within {_MAX_TERMS} terms (|zeta| too close to 1?)"

@@ -1,6 +1,7 @@
 """Joint system-bath propagation and pulse-protected evolution."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.linalg import expm as scipy_expm
 from scipy.sparse.linalg import expm_multiply
 
 import ngfiber.bangbang as bb
+from ngfiber import validate
 from ngfiber.errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
@@ -61,7 +63,7 @@ def test_dimension_budget():
 def test_hamiltonian_is_diagonal_without_couplings():
     bath = small_bath(g=0.0)
     space = FockSpace(3)
-    h = bb.build_hamiltonian(space, bath)
+    h = bb.build_hamiltonian(space, bath).toarray()
     off = h - np.diag(np.diag(h))
     assert np.max(np.abs(off)) == 0.0
 
@@ -80,7 +82,7 @@ def test_hamiltonian_hermitian_with_random_couplings():
             omega_a=2.0,
             omega_b=1.3,
         )
-        h = bb.build_hamiltonian(FockSpace(3), bath)
+        h = bb.build_hamiltonian(FockSpace(3), bath).toarray()
         assert np.max(np.abs(h - h.conj().T)) < 1e-13
 
 
@@ -88,7 +90,7 @@ def test_hamiltonian_conserves_total_photon_number():
     # the exchange term moves a quantum between the modes, never in or out
     bath = small_bath(g=0.6, dephasing=0.2)
     space = FockSpace(3)
-    h = bb.build_hamiltonian(space, bath)
+    h = bb.build_hamiltonian(space, bath).toarray()
     n_total = np.kron(
         np.diag((space.n_a + space.n_b).astype(complex)),
         np.eye(bath.bath_dim(), dtype=complex),
@@ -151,7 +153,7 @@ def test_hamiltonian_matches_kron_construction(num_modes, s_cut, cut, perturbed,
     if perturbed:
         profile = bb.SegmentProfile.generate(4, 1.0, 0.1, seed=seed, num_modes=num_modes)
     ref = kron_hamiltonian(space, bath, 3, profile)
-    h = bb.build_hamiltonian(space, bath, 3, profile)
+    h = bb.build_hamiltonian(space, bath, 3, profile).toarray()
     # both routes round differently (the reference's occupation is sqrt(s)^2)
     assert np.max(np.abs(h - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert np.array_equal(h == 0, ref == 0)
@@ -192,7 +194,7 @@ def test_perturbed_propagation_matches_expm_multiply():
     tau = 0.6
     ref = psi0.astype(complex)
     for h in h_list:
-        ref = expm_multiply(-1j * tau * h, pi * ref)
+        ref = expm_multiply(-1j * tau * h.toarray(), pi * ref)
     assert_allclose(bb.propagate_bb(h_list, tau, psi0, pi), ref, rtol=0, atol=1e-12)
 
 
@@ -232,7 +234,7 @@ def test_distinct_segment_patterns_match_scipy_expm(
     tau = rng.uniform(0.05, 1.0)
     ref = psi0.copy()
     for h in h_list:
-        step = scipy_expm(-1j * tau * h)
+        step = scipy_expm(-1j * tau * h.toarray())
         if pulses_after is None:
             ref = step @ ref
         else:
@@ -249,23 +251,152 @@ def test_hermiticity_is_checked_per_segment_hamiltonian():
     space = FockSpace(3)
     h_list = [bb.build_hamiltonian(space, bath) for _ in range(4)]
     psi0 = bb.joint_initial_state(build_state(1, 0.5, n_max=1), space, bath)
-    # an entry whose mirror is zero, in the third of four segments
-    assert h_list[2][0, 5] == 0 and h_list[2][5, 0] == 0
-    h_list[2] = h_list[2].copy()
-    h_list[2][0, 5] = 0.1
+    rows, cols = h_list[2].entries()
+
+    def tampered(h, scale, k, defect):
+        data = scale / np.max(np.abs(h.data)) * h.data
+        data[k] += defect
+        return bb.SectorHamiltonian(h.layout, data)
+
+    # an in-block entry whose mirror is zero, in the third of four segments
+    k = np.flatnonzero((h_list[2].data == 0) & (rows != cols))[0]
+    assert h_list[2].toarray()[cols[k], rows[k]] == 0
+    h_list[2] = tampered(h_list[2], np.max(np.abs(h_list[2].data)), k, 0.1)
     with pytest.raises(NonHermitianInput):
         bb.propagate_free(h_list, 0.1, psi0)
     # the tolerance scales with each matrix's own max|m|: a 5e-10 defect on an
     # H of scale 1e3 passes, a 5e-12 defect on a unit-scale H does not
-    i, j = np.argwhere(np.triu(h_list[0], 1))[0]
-    big = 1e3 / np.max(np.abs(h_list[0])) * h_list[0]
-    big[i, j] += 5e-10
-    unit = h_list[1] / np.max(np.abs(h_list[1]))
+    k = np.flatnonzero((h_list[0].data != 0) & (rows < cols))[0]
+    big = tampered(h_list[0], 1e3, k, 5e-10)
+    unit = tampered(h_list[1], 1.0, k, 0.0)
     bb.propagate_free([big, unit], 0.1, psi0)
-    bad = unit.copy()
-    bad[i, j] += 5e-12
+    bad = tampered(h_list[1], 1.0, k, 5e-12)
     with pytest.raises(NonHermitianInput):
         bb.propagate_free([big, unit, bad], 0.1, psi0)
+
+
+def joint_sectors(space, bath):
+    """(n_a + n_b, n_a + sum_i s_i) of every joint index, from a kron of labels."""
+    digits = np.indices((bath.mode_dim,) * bath.num_modes).reshape(bath.num_modes, -1)
+    n_a = np.repeat(space.n_a, bath.bath_dim())
+    total = np.repeat(space.n_a + space.n_b, bath.bath_dim())
+    return total, n_a + np.tile(digits.sum(axis=0), space.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_sector_blocks_hold_every_nonzero_of_the_kron_hamiltonian(
+    num_modes, s_cut, cut, perturbed, seed
+):
+    space = FockSpace(cut)
+    assume(space.dim * (s_cut + 1) ** num_modes <= 1024)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return tuple(rng.uniform(0.1, 2.0, num_modes))
+
+    bath = bb.ToyBath(
+        num_modes, draw(), draw(), draw(), draw(), s_cut=s_cut,
+        omega_a=rng.uniform(0.0, 3.0), omega_b=rng.uniform(0.0, 3.0),
+    )
+    profile, segments = None, [0]
+    if perturbed:
+        # segment 1 has its exchange coupling scaled to 0: a diagonal H
+        profile = bb.SegmentProfile.generate(4, 1.0, 0.1, seed=seed, num_modes=num_modes)
+        profile.g_scales[1] = 0.0
+        segments = range(4)
+    total, m = joint_sectors(space, bath)
+    for segment in segments:
+        h = bb.build_hamiltonian(space, bath, segment, profile)
+        sector = h.layout.sector
+        # one label per conserved pair, and no label shared by two pairs
+        labelled = np.unique(np.stack([total, m, sector]), axis=1).shape[1]
+        conserved = np.unique(np.stack([total, m]), axis=1).shape[1]
+        assert labelled == np.unique(sector).size == conserved
+        ref = kron_hamiltonian(space, bath, segment, profile)
+        rows, cols = np.nonzero(ref)
+        assert np.array_equal(sector[rows], sector[cols])
+        # the n_a + n_b = 0 sector holds bath states only: its block is diagonal
+        vacuum = rows[total[rows] == 0]
+        assert np.array_equal(vacuum, cols[total[rows] == 0])
+        assert np.max(np.abs(h.toarray() - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_build_hamiltonian_allocates_no_dense_matrix():
+    # criterion 09's joint dim 3696, where a dense H is 219 MB; the layout is
+    # built inside the measurement, then reused by the next call
+    bath = bb.ToyBath(1, (0.0,), (0.5,), (0.0,), (0.0,), s_cut=15)
+    space = FockSpace(20)
+    bb._sector_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        h = bb.build_hamiltonian(space, bath)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (3696, 3696)
+    assert peak <= 2_000_000
+    assert bb.build_hamiltonian(space, bath).layout is h.layout
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def two_mode_bath(**changes):
+    args = dict(num_modes=2, frequencies=(1.0, 1.7), raman_couplings=(0.4, 0.25),
+                dephasing_rates_a=(0.1, 0.05), dephasing_rates_b=(0.2, 0.1), s_cut=2,
+                omega_a=2.0, omega_b=1.3)
+    return bb.ToyBath(**{**args, **changes})
+
+
+def build_on_profile(segment, num_modes):
+    profile = bb.SegmentProfile.homogeneous(4, 1.0, num_modes)
+    return bb.build_hamiltonian(FockSpace(2), two_mode_bath(), segment, profile)
+
+
+def propagate_mixed_spaces():
+    # joint dim 18 twice: total_cut 2 with one 3-level mode, total_cut 1 with one 6-level mode
+    one = bb.ToyBath(1, (1.0,), (0.3,), (0.0,), (0.0,), s_cut=2)
+    h = bb.build_hamiltonian(FockSpace(2), one)
+    other = bb.build_hamiltonian(FockSpace(1), replace(one, s_cut=5))
+    bb.propagate_free([h, other], 0.1, np.ones(18))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: two_mode_bath(frequencies=(1.0, NAN)), id="frequency-nan"),
+        pytest.param(lambda: two_mode_bath(raman_couplings=(INF, 0.25)), id="coupling-inf"),
+        pytest.param(lambda: two_mode_bath(dephasing_rates_a=(0.1, NAN)), id="rate-a-nan"),
+        pytest.param(lambda: two_mode_bath(dephasing_rates_b=(-INF, 0.1)), id="rate-b-inf"),
+        pytest.param(lambda: two_mode_bath(omega_a=NAN), id="omega-a-nan"),
+        pytest.param(lambda: two_mode_bath(omega_b=INF), id="omega-b-inf"),
+        pytest.param(lambda: bb.SegmentProfile(4, 1.0, np.full((4, 2), NAN), np.ones((4, 2))),
+                     id="profile-scale-nan"),
+        pytest.param(lambda: build_on_profile(0, 1), id="one-mode-profile-on-two-modes"),
+        pytest.param(lambda: build_on_profile(7, 2), id="segment-7-of-4"),
+        pytest.param(lambda: build_on_profile(-1, 2), id="segment-minus-1"),
+        pytest.param(lambda: build_on_profile(1.5, 2), id="segment-1.5"),
+        pytest.param(lambda: two_mode_bath(s_cut=2.5), id="s-cut-2.5"),
+        pytest.param(lambda: two_mode_bath(num_modes=2.0), id="num-modes-2.0"),
+        pytest.param(
+            lambda: bb.propagate_free(
+                [bb.build_hamiltonian(FockSpace(2), two_mode_bath()).toarray()], 0.1, np.ones(54)
+            ),
+            id="dense-ndarray",
+        ),
+        pytest.param(propagate_mixed_spaces, id="mixed-joint-spaces"),
+    ],
+)
+def test_toy_model_refusals_are_typed(make):
+    with pytest.raises(ParameterError):
+        make()
 
 
 def test_block_propagation_allocates_no_dense_propagator():
@@ -345,7 +476,7 @@ def test_segmented_free_propagation_matches_single_exponential():
     tau = 0.3
     n_seg = 6
     split = bb.propagate_free([h] * n_seg, tau, psi0)
-    whole = expm_hermitian(h, n_seg * tau) @ psi0
+    whole = expm_hermitian(h.toarray(), n_seg * tau) @ psi0
     assert np.max(np.abs(split - whole)) < 1e-10
     assert abs(np.linalg.norm(split) - 1.0) < 1e-10
 
@@ -400,7 +531,7 @@ def test_phase_shifter_conjugation_flips_exchange_hamiltonian():
         omega_b=0.0,
     )
     space = FockSpace(4)
-    h = bb.build_hamiltonian(space, bath)
+    h = bb.build_hamiltonian(space, bath).toarray()
     pi = bb.joint_phase_shifter(space, bath)
     conj = pi[:, None] * h * pi.conj()
     assert np.max(np.abs(conj + h)) < 1e-13
@@ -530,3 +661,10 @@ def test_both_pulse_placements_protect():
         psi = bb.propagate_bb([h] * n_seg, tau, psi0, pi_op, pulses_after=after)
         i_bb = 1.0 - bb.system_fidelity(psi, target, space, bath)
         assert i_bb < 0.1 * i_free
+
+
+def test_validate_bang_bang_checks_pass():
+    # validate --level full runs both on block-form Hamiltonians
+    for check in (validate._check_bb_identities, validate._check_bb_suppression):
+        result = check()
+        assert result.passed, result.detail

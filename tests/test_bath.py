@@ -39,6 +39,13 @@ def test_bathspec_validation():
         BathSpec(omega_phonon=1.0, temperature=0.2, omega_c=0.0)
     with pytest.raises(ParameterError):
         BathSpec(omega_phonon=1.0, temperature=0.2, omega_c=1.0, gibbs_tail_tol=1.0)
+    # NaN passes a "<= 0" guard: it used to reach math.ceil (omega_phonon) or a
+    # nan rate (omega_c)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="omega_phonon"):
+            BathSpec(omega_phonon=bad, temperature=0.2, omega_c=1.0)
+        with pytest.raises(ParameterError, match="omega_c"):
+            BathSpec(omega_phonon=1.0, temperature=0.2, omega_c=bad)
     # at 1e20 K exp(-hbar Omega / kB T) rounds to 1 and the Gibbs cut would
     # divide by log q = 0
     for temperature in (1e20, math.inf, math.nan):

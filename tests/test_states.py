@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,17 @@ def test_series_matches_lgamma_scan_near_unit_squeezing(p, zeta, tail_tol):
 def test_series_refuses_beyond_max_terms():
     with pytest.raises(ParameterError, match="did not converge within 1000000 terms"):
         build_state(1, 0.99999)
+
+
+def test_underflowing_series_is_refused_at_once():
+    # every term at p = 1, |zeta| = 1e-170 underflows to 0 (at 1e-160 P^2 is
+    # subnormal): refused from the first short vector, not after 1e6 terms
+    for zeta in (1e-170, 1e-160):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="underflows"):
+            build_state(1, zeta)
+        assert time.perf_counter() - start < 0.03
+    assert build_state(1, 1e-150).n_max == 0
 
 
 def test_series_overflow_is_refused():
