@@ -13,6 +13,11 @@ quarter-cycle phase shifter Pi = exp(i pi (n_a - n_b)/2), a phase vector,
 between segment propagators flips the sign of the pair-exchange term each
 segment, so its first-order effect cancels over segment pairs while the
 manifold-preserving terms accumulate unchanged.
+
+In every bath configuration s of a state propagated from
+`joint_initial_state`, n_a - n_b = -p - 2 sum_i s_i, so the reduced two-mode
+state conserves n_a - n_b and `negativity_trace` eigensolves its partial
+transpose one total-photon-number block at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionBudgetExceeded, DimensionMismatch, ParameterError
-from .fock import FockOperator, FockSpace, _block_expm, _quarter_phases, _size_groups
-from .negativity import negativity_fock
+from .fock import FockOperator, FockSpace, _block_expm, _quarter_phases
+from .negativity import _negativity_fock_blocked
 from .states import NonGaussianState, embed
 
 # Largest joint dimension.  It bounds psi and the sector blocks of H (at most
@@ -119,13 +124,26 @@ class _SectorLayout:
     size: int  # length of the flat vector
 
 
+def _size_groups(labels: np.ndarray) -> list:
+    """The indices of each label's block, one (n_blocks, size) array per block size.
+
+    Sizes ascend; within a size, blocks follow their labels, and each block
+    lists its indices in ascending order.  Labels are non-negative integers.
+    """
+    sizes = np.bincount(labels)[labels]  # block size at every index
+    order = np.lexsort((labels, sizes))  # by block size, then block
+    return [
+        order[sizes[order] == size].reshape(-1, size) for size in np.flatnonzero(np.bincount(sizes))
+    ]
+
+
 @functools.cache
 def _sector_layout(total_cut: int, num_modes: int, s_cut: int) -> _SectorLayout:
     """Block form shared by every Hamiltonian on one joint space.
 
     H conserves N = n_a + n_b and M = n_a + sum_i s_i, so each sector (N, M) is
     one block, labelled by its smallest joint index and grouped by size as
-    `fock._size_groups` orders them.  The flat vector holds the blocks
+    `_size_groups` orders them.  The flat vector holds the blocks
     row-major, group after group.  A sector may split into several components
     (N = 0, or a segment whose g is 0); its block is then merely sparser.
     """
@@ -366,9 +384,14 @@ def reduced_system_matrix(
 
 
 def negativity_trace(psi_joint: np.ndarray, space: FockSpace, bath: ToyBath) -> float:
-    """Negativity of the reduced two-mode state of a joint pure state."""
+    """Negativity of the reduced two-mode state of a joint pure state.
+
+    Its partial transpose is eigensolved one total-photon-number block at a
+    time (see the module docstring).  A psi_joint whose reduced state mixes
+    different n_a - n_b, or whose norm is not 1, raises ParameterError.
+    """
     rho = reduced_system_matrix(psi_joint, space, bath)
-    return negativity_fock(FockOperator(space, rho))
+    return _negativity_fock_blocked(FockOperator(space, rho))
 
 
 def system_fidelity(

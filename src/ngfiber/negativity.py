@@ -8,9 +8,11 @@ a state supported on the n_a - n_b = -p manifold has a partial transpose that
 conserves the total photon number N = n_a + n_b, so rho^PT is block diagonal
 in N.  Each block is assembled straight from the manifold matrix and handed
 to a Hermitian eigensolver, which makes the route an independent cross-check
-of the series.  The dense route (embed, transpose one mode index,
-diagonalize the whole space) is kept for general two-mode operators and as
-the test oracle.
+of the series.  The same fact holds for any two-mode density matrix that
+conserves n_a - n_b, such as the reduced state of a bang-bang run: its
+partial transpose (`fock.partial_transpose`) is eigensolved one N block at a
+time.  The dense route (transpose one mode index, diagonalize the whole
+space, `negativity_fock`) is kept as the test oracle.
 
 Convention: the negativity returned everywhere in this module is the trace
 norm defect ||rho^PT||_1 - 1, i.e. twice the absolute sum of the negative
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationTooSmall
-from .fock import FockOperator, partial_transpose
+from .errors import ParameterError, TruncationTooSmall
+from .fock import TRACE_TOL, FockOperator, partial_transpose
 from .states import ManifoldDensityMatrix, NonGaussianState
-
-NEGATIVE_EIG_CUT = -1e-10
 
 
 @dataclass
@@ -69,11 +69,6 @@ def negativity_analytic(state: NonGaussianState) -> float:
     return s1 * s1 - float((a * a).sum())
 
 
-def _pt_eigenvalues(rho: FockOperator, mode: str) -> np.ndarray:
-    """Spectrum of the dense partial transpose of a full two-mode matrix."""
-    return np.linalg.eigvalsh(partial_transpose(rho, mode).matrix)
-
-
 def negativity_fock(rho: FockOperator, mode: str = "b") -> float:
     """Negativity of a full two-mode density matrix: dense PPT eigensolve.
 
@@ -83,13 +78,30 @@ def negativity_fock(rho: FockOperator, mode: str = "b") -> float:
     |lambda| - lambda up to rounding, while a threshold would silently drop
     real small coherence pairs.
     """
-    eigs = _pt_eigenvalues(rho, mode)
+    eigs = np.linalg.eigvalsh(partial_transpose(rho, mode).matrix)
     return float(np.abs(eigs).sum() - eigs.sum())
 
 
-def negative_eigenvalue_count(rho: FockOperator, mode: str = "b") -> int:
-    eigs = _pt_eigenvalues(rho, mode)
-    return int(np.count_nonzero(eigs < NEGATIVE_EIG_CUT))
+def _negativity_fock_blocked(rho: FockOperator) -> float:
+    """negativity_fock of a two-mode density matrix that conserves n_a - n_b.
+
+    Its partial transpose has no entry between different N = n_a + n_b, so
+    each N block (a contiguous index range) is eigensolved on its own.  An
+    entry between different N above TRACE_TOL means rho mixes n_a - n_b and
+    raises ParameterError; there is no dense fallback.
+    """
+    pt = partial_transpose(rho).matrix
+    space = rho.space
+    total = space.n_a + space.n_b
+    leak = np.abs(pt[total[:, None] != total[None, :]]).max(initial=0.0)
+    if leak > TRACE_TOL:
+        raise ParameterError(
+            f"density matrix mixes different n_a - n_b (partial transpose entry {leak:.3e} "
+            f"between photon numbers)"
+        )
+    ends = np.arange(space.total_cut + 2) * np.arange(1, space.total_cut + 3) // 2
+    eigs = np.concatenate([np.linalg.eigvalsh(pt[a:b, a:b]) for a, b in zip(ends, ends[1:])])
+    return float(np.abs(eigs).sum() - eigs.sum())
 
 
 def _pt_blocks(rho: ManifoldDensityMatrix):

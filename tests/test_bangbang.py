@@ -19,8 +19,15 @@ from ngfiber.errors import (
     NonHermitianInput,
     ParameterError,
 )
-from ngfiber.fock import FockSpace, annihilation, expm_hermitian, number_operator, phase_shifter
-from ngfiber.negativity import negativity_analytic
+from ngfiber.fock import (
+    FockOperator,
+    FockSpace,
+    annihilation,
+    expm_hermitian,
+    number_operator,
+    phase_shifter,
+)
+from ngfiber.negativity import negativity_analytic, negativity_fock
 from ngfiber.states import build_state, embed
 
 
@@ -566,6 +573,61 @@ def test_fully_dephased_joint_state_has_no_negativity():
         psi[sys_idx * bath.bath_dim() + n] = state.coeffs[n]
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
     assert bb.negativity_trace(psi, space, bath) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.integers(2, 12),
+    st.integers(0, 2),
+    st.sampled_from((None, False, True)),
+    st.integers(0, 2**32 - 1),
+)
+def test_negativity_trace_matches_dense_oracle(num_modes, s_cut, cut, p, pulses_after, seed):
+    # the reduced state conserves n_a - n_b, so the photon-number-blocked
+    # route sees the whole partial-transpose spectrum
+    space = FockSpace(cut)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return tuple(rng.uniform(0.1, 1.0, num_modes))
+
+    bath = bb.ToyBath(num_modes, draw(), draw(), draw(), draw(), s_cut=s_cut,
+                      omega_a=rng.uniform(0.0, 3.0), omega_b=rng.uniform(0.0, 3.0))
+    n_seg = 2 * int(rng.integers(1, 5))
+    profile = bb.SegmentProfile.generate(
+        n_seg, 1.0, rng.uniform(0.02, 0.3), seed=seed, num_modes=num_modes
+    )
+    h_list = [bb.build_hamiltonian(space, bath, i, profile) for i in range(n_seg)]
+    state = build_state(p, rng.uniform(0.1, 0.8), n_max=(cut - p) // 2)
+    psi0 = bb.joint_initial_state(state, space, bath)
+    tau = rng.uniform(0.1, 1.5)
+    if pulses_after is None:
+        psi = bb.propagate_free(h_list, tau, psi0)
+    else:
+        pi = bb.joint_phase_shifter(space, bath)
+        psi = bb.propagate_bb(h_list, tau, psi0, pi, pulses_after=pulses_after)
+    rho = FockOperator(space, bb.reduced_system_matrix(psi, space, bath))
+    assert_allclose(bb.negativity_trace(psi, space, bath), negativity_fock(rho), rtol=0, atol=1e-13)
+
+
+def test_negativity_trace_refuses_what_it_cannot_block():
+    bath = small_bath()
+    space = FockSpace(4)
+    # |0,0> + |1,0> mixes n_a - n_b = 0 and 1: its partial transpose couples
+    # N = 0 to N = 1, so the blocked route refuses it (the dense oracle does not)
+    vec = np.zeros(space.dim)
+    vec[[space.index(0, 0), space.index(1, 0)]] = np.sqrt(0.5)
+    psi = np.kron(vec, bb.bath_ground_state(bath))
+    with pytest.raises(ParameterError, match="n_a - n_b"):
+        bb.negativity_trace(psi, space, bath)
+    rho = FockOperator(space, bb.reduced_system_matrix(psi, space, bath))
+    assert_allclose(negativity_fock(rho), 0.0, rtol=0, atol=1e-15)
+    # the unit-trace check of partial_transpose still applies
+    psi0 = bb.joint_initial_state(build_state(1, 0.5, n_max=1), space, bath)
+    with pytest.raises(ParameterError, match="unit trace"):
+        bb.negativity_trace(1.1 * psi0, space, bath)
 
 
 def test_dfs_residual_vanishes_on_manifold():

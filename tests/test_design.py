@@ -1,13 +1,14 @@
 """Spacing bound, timing report, and the worked silica link."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ngfiber.bath import dissipation_rate_closed, dissipation_rate_quadrature
+from ngfiber.bath import dissipation_rate, dissipation_rate_closed, dissipation_rate_quadrature
 from ngfiber.channel import evolve_with_dissipation, negativity_dissipative
 from ngfiber.constants import C_LIGHT, HBAR, K_B
 from ngfiber.design import (
@@ -141,6 +142,22 @@ def test_silica_preset_numbers():
     assert params.omega_a == params.omega_b == 1.216e15
     assert params.tau_l == transit_time(fiber)
     assert params.epsilon == segment_time(fiber)
+
+
+def test_silica_preset_spacing_misses_its_budget_at_its_own_temperature():
+    # the preset's 0.8 mm is the T = 0 bound rounded down: within the 5 %
+    # budget at 0 K, but at its own 0.2 K the rate is 2.29x larger and the
+    # leading coherence loses 1 - exp(-4 epsilon^2 Gamma) = 10.8 %
+    fiber, bath, params = silica_preset()
+
+    def loss(temperature):
+        rate = dissipation_rate(replace(bath, temperature=temperature), params.tau_l)
+        return 1.0 - math.exp(-4.0 * params.epsilon**2 * rate)
+
+    assert_allclose(loss(0.0), 0.04876, rtol=1e-3)
+    assert loss(0.0) < fiber.error_budget
+    assert_allclose(loss(bath.temperature), 0.1081, rtol=1e-3)
+    assert loss(bath.temperature) > fiber.error_budget
 
 
 def test_silica_preset_finite_temperature_rate_completes():

@@ -15,7 +15,6 @@ from ngfiber.errors import TruncationTooSmall
 from ngfiber.fock import FockOperator, FockSpace, partial_transpose
 from ngfiber.negativity import (
     _pt_blocks,
-    negative_eigenvalue_count,
     negativity_analytic,
     negativity_fock,
     negativity_numeric,
@@ -98,15 +97,6 @@ def test_product_state_has_zero_negativity():
     vec[space.index(1, 2)] = 1.0
     rho = FockOperator(space, np.outer(vec, vec).astype(complex))
     assert negativity_fock(rho) == 0.0
-    assert negative_eigenvalue_count(rho) == 0
-
-
-def test_negative_eigenvalue_count_counts_pairs():
-    state = build_state(1, 0.5, n_max=2)
-    rho = embed_density_matrix(state.density_matrix(), FockSpace(5))
-    space = FockSpace(5)
-    # three index pairs (0,1), (0,2), (1,2) -> three negative eigenvalues
-    assert negative_eigenvalue_count(FockOperator(space, rho)) == 3
 
 
 def test_numeric_route_checks_truncation():
@@ -118,6 +108,16 @@ def test_numeric_route_checks_truncation():
     assert_allclose(val, negativity_analytic(state), rtol=0, atol=1e-12)
     # a larger cut only adds empty blocks
     assert negativity_numeric(state.density_matrix(), total_cut=12) == val
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.01, max_value=0.95))
+def test_default_truncation_error_at_p0(zeta):
+    # the default tail_tol bounds the l2 tail of the coefficients, while the
+    # negativity is an l1 quantity, so its error is ~ sqrt(tail_tol): at most
+    # 3.1e-5 relative (near zeta 0.03) against the exact 2 zeta / (1 - zeta)
+    exact = 2.0 * zeta / (1.0 - zeta)
+    assert abs(negativity_analytic(build_state(0, zeta)) - exact) <= 5e-5 * exact
 
 
 def test_monotone_in_squeezing():
