@@ -12,7 +12,9 @@ block; no dense propagator is formed either.  Interleaving the
 quarter-cycle phase shifter Pi = exp(i pi (n_a - n_b)/2), a phase vector,
 between segment propagators flips the sign of the pair-exchange term each
 segment, so its first-order effect cancels over segment pairs while the
-manifold-preserving terms accumulate unchanged.
+manifold-preserving terms accumulate unchanged.  Pi is diagonal and
+conserves both sector numbers, so a pulsed segment is the one unitary E Pi,
+and its phases are multiplied into the columns of each propagator block.
 
 In every bath configuration s of a state propagated from
 `joint_initial_state`, n_a - n_b = -p - 2 sum_i s_i, so the reduced two-mode
@@ -83,7 +85,6 @@ class SegmentProfile:
     delta: float  # segment length, m (bookkeeping only)
     g_scales: np.ndarray  # (num_segments, num_modes)
     dephasing_scales: np.ndarray  # (num_segments, num_modes)
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_segments < 2 or self.num_segments % 2 != 0:
@@ -106,7 +107,7 @@ class SegmentProfile:
         rng = np.random.default_rng(seed)
         g = 1.0 + rel_std * rng.standard_normal((num_segments, num_modes))
         d = 1.0 + rel_std * rng.standard_normal((num_segments, num_modes))
-        return cls(num_segments, delta, g, d, seed=seed)
+        return cls(num_segments, delta, g, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +229,10 @@ def joint_dim(space: FockSpace, bath: ToyBath) -> int:
     return space.dim * bath.bath_dim()
 
 
-def check_budget(space: FockSpace, bath: ToyBath, budget: int = DIMENSION_BUDGET) -> int:
+def check_budget(space: FockSpace, bath: ToyBath) -> int:
     dim = joint_dim(space, bath)
-    if dim > budget:
-        raise DimensionBudgetExceeded(f"joint dimension {dim} exceeds budget {budget}")
+    if dim > DIMENSION_BUDGET:
+        raise DimensionBudgetExceeded(f"joint dimension {dim} exceeds budget {DIMENSION_BUDGET}")
     return dim
 
 
@@ -284,13 +285,15 @@ def joint_phase_shifter(space: FockSpace, bath: ToyBath) -> np.ndarray:
     return np.repeat(_quarter_phases(space), bath.bath_dim())
 
 
-def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None, pulses_after=False):
-    """Advance psi through the segments, block by block, optionally pulsing each one.
+def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None):
+    """Advance psi through the segments block by block, pulsing before each if pi_op is given.
 
     Each distinct Hamiltonian (by identity) is decomposed once: their flat
-    vectors are stacked and each size group is eigensolved as built.  psi and
-    the pulse phases are permuted into block order once; each segment
-    multiplies every size group in place.
+    vectors are stacked and each size group is eigensolved as built.  Pi is
+    diagonal within every block, so each pulsed segment is the one unitary
+    E Pi: the pulse phases scale the columns of every propagator block once.
+    psi is permuted into block order once; each segment multiplies every size
+    group in place.
     """
     distinct = {}
     for h in h_list:
@@ -312,20 +315,17 @@ def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None, pulses_after=Fal
         for idx, off in layout.groups
     ]
     props = _block_expm(stacks, tau)
+    if pi_op is not None:
+        props = [w * pi_op[idx][:, None, :] for w, (idx, _) in zip(props, layout.groups)]
     x = psi[layout.order]
-    phases = None if pi_op is None else pi_op[layout.order]
     views, start = [], 0
     for idx, _ in layout.groups:
         views.append(x[start : start + idx.size].reshape(*idx.shape, 1))
         start += idx.size
     for h in h_list:
         k = distinct[id(h)][0]
-        if phases is not None and not pulses_after:
-            x *= phases
         for view, blocks in zip(views, props):
             view[...] = np.matmul(blocks[k], view)
-        if phases is not None and pulses_after:
-            x *= phases
     out = np.empty_like(x)
     out[layout.order] = x
     return out
@@ -342,24 +342,19 @@ def propagate_free(h_list, tau: float, psi0: np.ndarray) -> np.ndarray:
     return _propagate(list(h_list), tau, np.asarray(psi0, dtype=complex))
 
 
-def propagate_bb(
-    h_list,
-    tau: float,
-    psi0: np.ndarray,
-    pi_op: np.ndarray,
-    pulses_after: bool = False,
-) -> np.ndarray:
-    """Segment propagation with interleaved phase-shifter pulses.
+def propagate_bb(h_list, tau: float, psi0: np.ndarray, pi_op: np.ndarray) -> np.ndarray:
+    """Segment propagation with a phase-shifter pulse before each segment.
 
-    The default convention places a pulse before each segment,
-    U = E_N Pi ... E_2 Pi E_1 Pi; with pulses_after=True the pulse follows
-    each segment instead (strictly paired variant).  Both cancel the
-    pair-exchange coupling to first order; they differ only at the walk's
-    boundary.  Requires an even number of segments; pi_op is a phase vector.
-    h_list holds `SectorHamiltonian`s from `build_hamiltonian` (a dense
-    ndarray raises ParameterError); the distinct ones share one stacked eigh
-    per block size and psi is advanced block by block, so neither a dense
-    joint matrix nor a dense propagator is formed.
+    U = E_N Pi ... E_2 Pi E_1 Pi.  Pi is applied as part of each segment
+    unitary E Pi, not as a separate step.  Pulses placed after each segment
+    instead give Pi U Pi^dag, so that train is
+    pi_op * propagate_bb(h_list, tau, pi_op.conj() * psi0, pi_op).  Both
+    cancel the pair-exchange coupling to first order.  Requires an even
+    number of segments; pi_op is a phase vector.  h_list holds
+    `SectorHamiltonian`s from `build_hamiltonian` (a dense ndarray raises
+    ParameterError); the distinct ones share one stacked eigh per block size
+    and psi is advanced block by block, so neither a dense joint matrix nor a
+    dense propagator is formed.
     """
     n = len(h_list)
     if n < 2 or n % 2 != 0:
@@ -367,7 +362,7 @@ def propagate_bb(
     psi = np.asarray(psi0, dtype=complex)
     if pi_op.shape[0] != psi.shape[0]:
         raise DimensionMismatch("pulse operator and state dimensions differ")
-    return _propagate(h_list, tau, psi, pi_op, pulses_after)
+    return _propagate(h_list, tau, psi, pi_op)
 
 
 def reduced_system_matrix(

@@ -2,7 +2,8 @@
 
 Two bath effects enter the fiber channel: a thermally weighted phase spread
 (captured by visibility factors over the Gibbs distribution of a
-representative phonon mode) and a dissipative decay rate, the integral of an
+representative phonon mode, cut where the Gibbs mass left out falls below
+GIBBS_TAIL_TOL = 1e-12) and a dissipative decay rate, the integral of an
 Ohmic memory kernel with exponential cutoff against the accumulated phase
 filter 2 sin^2(omega tau / 2) / omega^2.  The rate is evaluated in closed
 form at any temperature (dissipation_rate); the panel quadrature of the
@@ -26,7 +27,7 @@ from .errors import (
     ZeroTemperature,
 )
 
-DEFAULT_GIBBS_TAIL_TOL = 1e-12
+GIBBS_TAIL_TOL = 1e-12  # Gibbs mass left out by the level cut
 _MAX_PANELS = 2**20  # quadrature refuses more: 32-node panels, 256 MiB per float64 array
 _gauss_legendre = functools.cache(leggauss)  # the quadrature's two orders; 0.8 ms to rebuild
 _RATE_HEAD = 16  # reduced-cutoff terms summed directly before the trigamma tail
@@ -45,7 +46,6 @@ class BathSpec:
     omega_phonon: float  # rad/s, level spacing of the representative mode
     temperature: float  # K
     omega_c: float  # rad/s, Ohmic cutoff
-    gibbs_tail_tol: float = DEFAULT_GIBBS_TAIL_TOL
 
     def __post_init__(self):
         if not 0 < self.omega_phonon < math.inf:
@@ -54,8 +54,6 @@ class BathSpec:
             raise ParameterError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.omega_c < math.inf:
             raise ParameterError(f"omega_c must be finite and > 0, got {self.omega_c}")
-        if not (0 < self.gibbs_tail_tol < 1):
-            raise ParameterError("gibbs_tail_tol must be in (0, 1)")
         if self.boltzmann_ratio() == 1.0:
             raise ParameterError(
                 f"temperature {self.temperature} K is too high: the Boltzmann ratio "
@@ -70,11 +68,11 @@ class BathSpec:
 
 
 def _gibbs_levels(bath: BathSpec):
-    """(q, s_max): Boltzmann ratio and the smallest cut with q^(s_max+1) < gibbs_tail_tol."""
+    """(q, s_max): Boltzmann ratio and the smallest cut with q^(s_max+1) < GIBBS_TAIL_TOL."""
     q = bath.boltzmann_ratio()
     if q == 0.0:
         return q, 0
-    return q, max(0, math.ceil(math.log(bath.gibbs_tail_tol) / math.log(q)) - 1)
+    return q, max(0, math.ceil(math.log(GIBBS_TAIL_TOL) / math.log(q)) - 1)
 
 
 def gibbs_weights(bath: BathSpec):
@@ -82,7 +80,7 @@ def gibbs_weights(bath: BathSpec):
 
     Returns (weights, s_max).  The zero-point energy cancels in the ratio, so
     p_s is geometric: p_s = (1-q) q^s with q = exp(-hbar Omega / kB T).  The
-    cut keeps the neglected mass below gibbs_tail_tol; weights are rescaled
+    cut keeps the neglected mass below GIBBS_TAIL_TOL; weights are rescaled
     to sum to one exactly.
     """
     q, s_max = _gibbs_levels(bath)

@@ -37,14 +37,10 @@ class ChannelParams:
     epsilon: float = 0.0  # s, rms segment-timing fluctuation
 
     def __post_init__(self):
-        if self.omega_a < 0 or self.omega_b < 0:
-            raise ParameterError("mode frequencies must be >= 0")
-        if self.gamma_plus < 0 or self.gamma_minus < 0:
-            raise ParameterError("coupling rates must be >= 0")
-        if self.tau_l < 0:
-            raise ParameterError("tau_l must be >= 0")
-        if self.epsilon < 0:
-            raise ParameterError("epsilon must be >= 0")
+        for name in ("omega_a", "omega_b", "gamma_plus", "gamma_minus", "tau_l", "epsilon"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def omega_total(self) -> float:
@@ -75,13 +71,14 @@ def _negativity(state: NonGaussianState, factors: np.ndarray) -> float:
 
 
 def _manifold_rho(
-    state: NonGaussianState, params: ChannelParams, bath: BathSpec, coherence, validate: bool
+    state: NonGaussianState, params: ChannelParams, bath: BathSpec, coherence
 ) -> ManifoldDensityMatrix:
     """rho_nm = psi_n psi_m^* d_{n-m}, psi_n = phi_n c_n, d = coherence(n_max, params, bath).
 
     phi enters as a diagonal unitary, not as a function of n - m, so rho stays a
     Schur product of positive matrices however tau_l omega_total n rounds.
-    d_{-k} = d_k^*.  Refuses before allocating when n_max + 1 exceeds MANIFOLD_BUDGET.
+    d_{-k} = d_k^*.  Refuses before allocating when n_max + 1 exceeds MANIFOLD_BUDGET;
+    the result is validated before it is returned.
     """
     if state.n_max + 1 > MANIFOLD_BUDGET:
         raise DimensionBudgetExceeded(
@@ -93,13 +90,12 @@ def _manifold_rho(
     full = np.concatenate([factors[::-1], factors[1:].conj()])  # full[n_max - k] = factors_k
     toeplitz = np.lib.stride_tricks.sliding_window_view(full, state.n_max + 1)[::-1]
     out = ManifoldDensityMatrix(state.p, state.n_max, np.outer(psi, psi.conj()) * toeplitz)
-    if validate:
-        out.validate()
+    out.validate()
     return out
 
 
 def evolve_dephasing(
-    state: NonGaussianState, params: ChannelParams, bath: BathSpec, validate: bool = True
+    state: NonGaussianState, params: ChannelParams, bath: BathSpec
 ) -> ManifoldDensityMatrix:
     """Thermally averaged dephasing of the pure manifold state.
 
@@ -108,7 +104,7 @@ def evolve_dephasing(
     visibility.  gamma_minus does not appear: the difference coupling is
     constant on the manifold and cancels between bra and ket.
     """
-    return _manifold_rho(state, params, bath, _thermal_phase_means, validate)
+    return _manifold_rho(state, params, bath, _thermal_phase_means)
 
 
 def fidelity(state: NonGaussianState, params: ChannelParams, bath: BathSpec) -> float:
@@ -172,7 +168,7 @@ def _dissipative_factors(n_max: int, params: ChannelParams, bath: BathSpec) -> n
 
 
 def evolve_with_dissipation(
-    state: NonGaussianState, params: ChannelParams, bath: BathSpec, validate: bool = True
+    state: NonGaussianState, params: ChannelParams, bath: BathSpec
 ) -> ManifoldDensityMatrix:
     """Dephasing plus Gaussian coherence decay from timing fluctuations.
 
@@ -180,7 +176,7 @@ def evolve_with_dissipation(
     exp(-4 epsilon^2 Gamma(tau_l) (n-m)^2), with Gamma the closed-form
     dissipation rate at the bath temperature.  The diagonal is preserved.
     """
-    return _manifold_rho(state, params, bath, _dissipative_factors, validate)
+    return _manifold_rho(state, params, bath, _dissipative_factors)
 
 
 def negativity_dissipative(

@@ -29,16 +29,18 @@ class FiberSpec:
     delta_spacing: float | None = None  # m, chosen phase-shifter spacing
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ParameterError("length must be > 0")
-        if self.group_index < 1.0:
-            raise ParameterError("group_index must be >= 1")
-        if self.omega_c <= 0:
-            raise ParameterError("omega_c must be > 0")
+        if not 0 < self.length < math.inf:
+            raise ParameterError(f"length must be finite and > 0, got {self.length}")
+        if not 1 <= self.group_index < math.inf:
+            raise ParameterError(f"group_index must be finite and >= 1, got {self.group_index}")
+        if not 0 < self.omega_c < math.inf:
+            raise ParameterError(f"omega_c must be finite and > 0, got {self.omega_c}")
         if not (0 < self.error_budget < 1):
             raise ParameterError("error_budget must be in (0, 1)")
-        if self.delta_spacing is not None and self.delta_spacing <= 0:
-            raise ParameterError("delta_spacing must be > 0 when set")
+        if self.delta_spacing is not None and not 0 < self.delta_spacing < math.inf:
+            raise ParameterError(
+                f"delta_spacing must be finite and > 0 when set, got {self.delta_spacing}"
+            )
 
     @property
     def group_velocity(self) -> float:
@@ -59,18 +61,25 @@ def max_spacing(fiber: FiberSpec, tau_l: float | None = None):
         asymptote = v / (2 omega_c) * sqrt(ln 1/(1-delta)),
 
     with Gamma the zero-temperature rate of bath.dissipation_rate_closed.
+    A Gamma that is not finite and > 0 raises ParameterError: tau_l = 0, a
+    tau_l so short that Gamma underflows to 0, or an omega_c tau_l whose
+    square overflows.
 
     delta_max decreases toward the asymptote as the accumulated rate
     saturates; it shrinks with omega_c and grows with the budget delta.
     """
     if tau_l is None:
         tau_l = transit_time(fiber)
-    if tau_l <= 0:
-        raise ParameterError("tau_l must be > 0")
+    rate = dissipation_rate_closed(fiber.omega_c, tau_l)
+    if not 0 < rate < math.inf:
+        raise ParameterError(
+            f"dissipation rate {rate} at tau_l = {tau_l} s is not finite and > 0: "
+            "no spacing bound"
+        )
     v = fiber.group_velocity
     log_term = math.log(1.0 / (1.0 - fiber.error_budget))
     asymptote = v / (2.0 * fiber.omega_c) * math.sqrt(log_term)
-    finite = v / 2.0 * math.sqrt(log_term / dissipation_rate_closed(fiber.omega_c, tau_l))
+    finite = v / 2.0 * math.sqrt(log_term / rate)
     return finite, asymptote
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TruncationTooSmall
+from .errors import ParameterError
 from .fock import TRACE_TOL, FockOperator, partial_transpose
 from .states import ManifoldDensityMatrix, NonGaussianState
 
@@ -69,16 +69,18 @@ def negativity_analytic(state: NonGaussianState) -> float:
     return s1 * s1 - float((a * a).sum())
 
 
-def negativity_fock(rho: FockOperator, mode: str = "b") -> float:
+def negativity_fock(rho: FockOperator) -> float:
     """Negativity of a full two-mode density matrix: dense PPT eigensolve.
 
-    Returns ||rho^PT||_1 - trace = sum(|lambda| - lambda), twice the absolute
-    sum of the negative eigenvalues (see the module docstring).  Computed
+    Transposes mode b: the mode-a partial transpose is its full transpose,
+    with the same spectrum.  Returns ||rho^PT||_1 - trace =
+    sum(|lambda| - lambda), twice the absolute sum of the negative
+    eigenvalues (see the module docstring).  Computed
     without a magnitude threshold: genuinely zero eigenvalues cancel in
     |lambda| - lambda up to rounding, while a threshold would silently drop
     real small coherence pairs.
     """
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, mode).matrix)
+    eigs = np.linalg.eigvalsh(partial_transpose(rho).matrix)
     return float(np.abs(eigs).sum() - eigs.sum())
 
 
@@ -122,7 +124,7 @@ def _pt_blocks(rho: ManifoldDensityMatrix):
         yield block
 
 
-def negativity_numeric(rho: ManifoldDensityMatrix, total_cut: int | None = None) -> float:
+def negativity_numeric(rho: ManifoldDensityMatrix) -> float:
     """Negativity by a partial-transpose eigensolve, blocked by total photon number.
 
     Sums |lambda| - lambda over the eigenvalues of every block that
@@ -130,14 +132,10 @@ def negativity_numeric(rho: ManifoldDensityMatrix, total_cut: int | None = None)
     an approximation: a manifold state commutes with n_a - n_b, so its
     partial transpose commutes with n_a + n_b and has no entry between
     different blocks.  The full space is never built; memory is O(n_max^2).
-
-    total_cut names the two-mode truncation the result refers to.  It must
-    satisfy total_cut >= 2 n_max + p so no partial-transpose entry is lost;
-    a larger cut only adds empty blocks and does not change the value.
+    The result holds for any two-mode truncation total_cut >= 2 n_max + p,
+    the largest total photon number rho occupies: a larger cut only adds
+    empty blocks.
     """
     rho.validate()
-    needed = 2 * rho.n_max + rho.p
-    if total_cut is not None and total_cut < needed:
-        raise TruncationTooSmall(f"total_cut {total_cut} < 2 n_max + p = {needed}")
     eigs = np.concatenate([np.linalg.eigvalsh(block) for block in _pt_blocks(rho)])
     return float(np.abs(eigs).sum() - eigs.sum())

@@ -44,6 +44,11 @@ def small_bath(g: float = 0.35, dephasing: float = 0.0) -> bb.ToyBath:
     )
 
 
+def propagate_pulses_after(h_list, tau, psi0, pi):
+    """The train Pi E_N ... Pi E_1: Pi U Pi^dag, with U the train of propagate_bb."""
+    return pi * bb.propagate_bb(h_list, tau, pi.conj() * psi0, pi)
+
+
 def test_toybath_validation():
     with pytest.raises(ParameterError):
         bb.ToyBath(0, (), (), (), ())
@@ -248,8 +253,10 @@ def test_distinct_segment_patterns_match_scipy_expm(
             ref = pi * (step @ ref) if pulses_after else step @ (pi * ref)
     if pulses_after is None:
         psi = bb.propagate_free(h_list, tau, psi0)
+    elif pulses_after:
+        psi = propagate_pulses_after(h_list, tau, psi0, pi)
     else:
-        psi = bb.propagate_bb(h_list, tau, psi0, pi, pulses_after=pulses_after)
+        psi = bb.propagate_bb(h_list, tau, psi0, pi)
     assert_allclose(psi, ref, rtol=0, atol=1e-12 * np.linalg.norm(psi0))
 
 
@@ -519,8 +526,8 @@ def test_pulses_are_inert_without_exchange_coupling():
     rho_free = bb.reduced_system_matrix(
         bb.propagate_free(h_list, tau, psi0), space, bath
     )
-    for after in (False, True):
-        psi_bb = bb.propagate_bb(h_list, tau, psi0, pi_op, pulses_after=after)
+    for propagate in (bb.propagate_bb, propagate_pulses_after):
+        psi_bb = propagate(h_list, tau, psi0, pi_op)
         rho_bb = bb.reduced_system_matrix(psi_bb, space, bath)
         assert np.max(np.abs(rho_bb - rho_free)) < 1e-13
 
@@ -603,11 +610,13 @@ def test_negativity_trace_matches_dense_oracle(num_modes, s_cut, cut, p, pulses_
     state = build_state(p, rng.uniform(0.1, 0.8), n_max=(cut - p) // 2)
     psi0 = bb.joint_initial_state(state, space, bath)
     tau = rng.uniform(0.1, 1.5)
+    pi = bb.joint_phase_shifter(space, bath)
     if pulses_after is None:
         psi = bb.propagate_free(h_list, tau, psi0)
+    elif pulses_after:
+        psi = propagate_pulses_after(h_list, tau, psi0, pi)
     else:
-        pi = bb.joint_phase_shifter(space, bath)
-        psi = bb.propagate_bb(h_list, tau, psi0, pi, pulses_after=pulses_after)
+        psi = bb.propagate_bb(h_list, tau, psi0, pi)
     rho = FockOperator(space, bb.reduced_system_matrix(psi, space, bath))
     assert_allclose(bb.negativity_trace(psi, space, bath), negativity_fock(rho), rtol=0, atol=1e-13)
 
@@ -719,8 +728,8 @@ def test_both_pulse_placements_protect():
     i_free = 1.0 - bb.system_fidelity(
         bb.propagate_free([h] * n_seg, tau, psi0), target, space, bath
     )
-    for after in (False, True):
-        psi = bb.propagate_bb([h] * n_seg, tau, psi0, pi_op, pulses_after=after)
+    for propagate in (bb.propagate_bb, propagate_pulses_after):
+        psi = propagate([h] * n_seg, tau, psi0, pi_op)
         i_bb = 1.0 - bb.system_fidelity(psi, target, space, bath)
         assert i_bb < 0.1 * i_free
 

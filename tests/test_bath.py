@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from ngfiber.bath import (
+    GIBBS_TAIL_TOL,
     BathSpec,
     dissipation_rate,
     dissipation_rate_closed,
@@ -37,8 +38,6 @@ def test_bathspec_validation():
         BathSpec(omega_phonon=1.0, temperature=-0.1, omega_c=1.0)
     with pytest.raises(ParameterError):
         BathSpec(omega_phonon=1.0, temperature=0.2, omega_c=0.0)
-    with pytest.raises(ParameterError):
-        BathSpec(omega_phonon=1.0, temperature=0.2, omega_c=1.0, gibbs_tail_tol=1.0)
     # NaN passes a "<= 0" guard: it used to reach math.ceil (omega_phonon) or a
     # nan rate (omega_c)
     for bad in (math.nan, math.inf):
@@ -68,8 +67,8 @@ def test_gibbs_weights_geometric():
     assert_allclose(w.sum(), 1.0, rtol=0, atol=1e-15)
     # successive ratio is the Boltzmann factor
     assert_allclose(w[1:] / w[:-1], q, rtol=1e-12)
-    # truncated mass is within the requested tolerance
-    assert q ** (s_max + 1) < bath.gibbs_tail_tol
+    # truncated mass is below the fixed tolerance
+    assert q ** (s_max + 1) < GIBBS_TAIL_TOL
 
 
 def test_gibbs_weights_ground_state_at_zero_temperature():

@@ -310,11 +310,12 @@ def test_sweep_error_paths(tmp_path):
 
 @pytest.mark.parametrize(
     "grid",
-    ["p = 1.5", "p = nan", "zeta = nan", "temperature = 1e20", "temperature = inf"],
+    ["p = 1.5", "p = nan", "zeta = nan", "temperature = 1e20", "temperature = inf",
+     "tau_l = nan", "epsilon = nan", "zeta = 0.4\n[fixed]\nomega_a = nan"],
 )
 def test_sweep_refuses_invalid_points(tmp_path, grid):
     # a fractional p is refused, not truncated; at 1e20 K the Boltzmann ratio
-    # rounds to 1
+    # rounds to 1; a NaN channel input would write NaN rows
     cfg = sweep_config(tmp_path, f"[grid]\n{grid}\n[output]\nobservables = fidelity\n")
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 2
 
@@ -323,9 +324,17 @@ def test_sweep_refuses_invalid_points(tmp_path, grid):
     "argv",
     [["fig1", "--p", "150", "--zeta-min", "0.9", "--zeta-max", "0.9", "--steps", "2"],
      ["fig1", "--tail-tol", "nan", "--steps", "2"],
-     ["fig2", "--zeta", "nan", "--steps", "2"]],
+     ["fig2", "--zeta", "nan", "--steps", "2"],
+     ["design", "--length", "nan"],
+     ["design", "--length", "inf"],
+     ["design", "--group-index", "nan"],
+     ["design", "--omega-c", "inf"],
+     ["design", "--spacing", "nan"],
+     ["design", "--spacing", "inf"],
+     ["design", "--length", "1e-200"]],
 )
 def test_unrepresentable_states_exit_two(tmp_path, capsys, argv):
+    # at a length of 1e-200 m the dissipation rate underflows to 0
     assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
     assert "parameter error" in capsys.readouterr().err
 

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from ngfiber.bath import BathSpec
 from ngfiber.channel import ChannelParams, evolve_dephasing
-from ngfiber.errors import TruncationTooSmall
 from ngfiber.fock import FockOperator, FockSpace, partial_transpose
 from ngfiber.negativity import (
     _pt_blocks,
@@ -97,17 +96,6 @@ def test_product_state_has_zero_negativity():
     vec[space.index(1, 2)] = 1.0
     rho = FockOperator(space, np.outer(vec, vec).astype(complex))
     assert negativity_fock(rho) == 0.0
-
-
-def test_numeric_route_checks_truncation():
-    state = build_state(1, 0.5, n_max=3)
-    with pytest.raises(TruncationTooSmall):
-        negativity_numeric(state.density_matrix(), total_cut=5)
-    # minimal embedding is accepted
-    val = negativity_numeric(state.density_matrix(), total_cut=7)
-    assert_allclose(val, negativity_analytic(state), rtol=0, atol=1e-12)
-    # a larger cut only adds empty blocks
-    assert negativity_numeric(state.density_matrix(), total_cut=12) == val
 
 
 @settings(max_examples=60, deadline=None)
