@@ -95,11 +95,6 @@ class SegmentProfile:
             raise ParameterError("segment scales must be finite")
 
     @classmethod
-    def homogeneous(cls, num_segments: int, delta: float, num_modes: int) -> "SegmentProfile":
-        ones = np.ones((num_segments, num_modes))
-        return cls(num_segments, delta, ones, ones.copy())
-
-    @classmethod
     def generate(
         cls, num_segments: int, delta: float, rel_std: float, seed: int, num_modes: int
     ) -> "SegmentProfile":
@@ -390,18 +385,13 @@ def negativity_trace(psi_joint: np.ndarray, space: FockSpace, bath: ToyBath) -> 
 
 
 def system_fidelity(
-    psi_joint: np.ndarray,
-    target: NonGaussianState | np.ndarray,
-    space: FockSpace,
-    bath: ToyBath,
+    psi_joint: np.ndarray, target: np.ndarray, space: FockSpace, bath: ToyBath
 ) -> float:
     """<target| rho_system |target> for a joint pure state.
 
-    The target may be a manifold state (embedded here) or a ready-made
-    full-space vector.
+    The target is a full-space system vector; embed(state, space) gives one
+    for a manifold state.
     """
-    if isinstance(target, NonGaussianState):
-        target = embed(target, space)
     rho = reduced_system_matrix(psi_joint, space, bath)
     return float(np.real(target.conj() @ rho @ target))
 

@@ -133,15 +133,25 @@ def dissipation_rate_closed(omega_c: float, tau_l: float) -> float:
     """Zero-temperature dissipation rate, x^2 (3 + x^2) / (1 + x^2)^2 * omega_c^2.
 
     x = omega_c tau_l.  Grows as 3 x^2 omega_c^2 for x << 1 and saturates at
-    omega_c^2 for x >> 1.  Units rad^2/s^2.
+    omega_c^2 for x >> 1, within ~1/x^2.  Where these products overflow
+    (from x ~ 1e72 at omega_c = 2.62e10) the ratio is taken in y = 1/x^2 as
+    (1 + 3y) / (1 + y)^2, finite at every finite x.  Units rad^2/s^2.
     """
     if omega_c <= 0:
         raise ParameterError("omega_c must be > 0")
     if tau_l < 0:
         raise ParameterError("tau_l must be >= 0")
+    omega_c, tau_l = float(omega_c), float(tau_l)  # Python floats raise, never warn
     x = omega_c * tau_l
     x2 = x * x
-    return omega_c * omega_c * x2 * (3.0 + x2) / (1.0 + x2) ** 2
+    try:
+        rate = omega_c * omega_c * x2 * (3.0 + x2) / (1.0 + x2) ** 2
+    except OverflowError:  # (1 + x^2)^2 past the float range
+        rate = math.inf
+    if rate < math.inf or x2 <= 1.0:
+        return rate
+    y = 1.0 / x2
+    return omega_c * omega_c * (1.0 + 3.0 * y) / (1.0 + y) ** 2
 
 
 def _power_gap(m, w, v):
@@ -153,7 +163,8 @@ def _power_gap(m, w, v):
     """
     t = v / w
     theta = np.arctan(t)
-    radial = -np.expm1(-0.5 * m * np.log1p(t * t))
+    with np.errstate(over="ignore"):  # t^2 = inf past t ~ 1e154 gives the limit radial = 1
+        radial = -np.expm1(-0.5 * m * np.log1p(t * t))
     angular = np.cos(theta) ** m * 2.0 * np.sin(0.5 * m * theta) ** 2
     return w ** -m * (radial + angular)
 

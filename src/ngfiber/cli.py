@@ -17,17 +17,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import validate as validate_mod
-from .bath import BathSpec, dissipation_rate_closed
+from .bath import BathSpec
 from .channel import ChannelParams, fidelity, negativity_after_dephasing, negativity_dissipative
 from .config import RunConfig
-from .design import FiberSpec, bb_timescale_ratio, max_spacing, segment_time, transit_time
+from .design import FiberSpec, spacing_report
 from .errors import NgFiberError, ParameterError
 from .negativity import negativity_analytic
 from .states import build_state
@@ -109,28 +108,20 @@ def cmd_fig2(args) -> int:
         raise ParameterError("x-max must be > 0")
     state = build_state(args.p, args.zeta, tail_tol=args.tail_tol)
     bath = BathSpec(omega_phonon=args.omega_c, temperature=0.0, omega_c=args.omega_c)
-    # the fluctuation-free reference, through the same series path so the
-    # x = 0 row of both columns is bit-identical
-    base = negativity_dissipative(
-        state,
-        ChannelParams(
-            omega_a=0.0, omega_b=0.0, gamma_plus=0.0, gamma_minus=0.0,
-            tau_l=0.0, epsilon=args.epsilon,
-        ),
-        bath,
-    )
     xs = np.linspace(0.0, args.x_max, args.steps)
-    rows = []
-    for x in xs:
-        params = ChannelParams(
-            omega_a=0.0,
-            omega_b=0.0,
-            gamma_plus=0.0,
-            gamma_minus=0.0,
-            tau_l=float(x) / args.omega_c,
-            epsilon=args.epsilon,
+    fluct = [
+        negativity_dissipative(
+            state,
+            ChannelParams(
+                omega_a=0.0, omega_b=0.0, gamma_plus=0.0, gamma_minus=0.0,
+                tau_l=float(x) / args.omega_c, epsilon=args.epsilon,
+            ),
+            bath,
         )
-        rows.append((x, negativity_dissipative(state, params, bath), base))
+        for x in xs
+    ]
+    # xs starts at exactly 0, so row 0 is the fluctuation-free reference
+    rows = [(x, value, fluct[0]) for x, value in zip(xs, fluct)]
     header = ("x", "negativity_fluct", "negativity_no_fluct")
     write_table(args.out, args.format, header, rows)
     if args.emit_plot_script and args.format == "csv":
@@ -146,30 +137,7 @@ def cmd_design(args) -> int:
         error_budget=args.budget,
         delta_spacing=args.spacing,
     )
-    tau_l = transit_time(fiber)
-    delta_max, asymptote = max_spacing(fiber)
-    if fiber.delta_spacing is None:
-        fiber.delta_spacing = delta_max
-    tau = segment_time(fiber)
-    gamma = dissipation_rate_closed(fiber.omega_c, tau_l)
-    report = {
-        "length_m": fiber.length,
-        "group_index": fiber.group_index,
-        "omega_c_rad_s": fiber.omega_c,
-        "error_budget": fiber.error_budget,
-        "transit_time_s": tau_l,
-        "x_cutoff_times_transit": fiber.omega_c * tau_l,
-        "max_spacing_m": delta_max,
-        "asymptotic_spacing_m": asymptote,
-        "chosen_spacing_m": fiber.delta_spacing,
-        "segment_time_s": tau,
-        "segment_count": math.ceil(fiber.length / fiber.delta_spacing),
-        "decay_exponent_at_budget": 4.0 * tau * tau * gamma,
-        "budget_log_term": math.log(1.0 / (1.0 - fiber.error_budget)),
-        "tau_omega_c": bb_timescale_ratio(fiber),
-        "pulse_spacing_below_bath_correlation": bool(bb_timescale_ratio(fiber) < 1.0),
-    }
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(spacing_report(fiber), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

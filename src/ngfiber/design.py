@@ -4,13 +4,14 @@ Given a length, group index, bath cutoff and an acceptable entanglement
 loss fraction, the spacing bound inverts the timing-fluctuation decay: with
 epsilon equal to the segment transit time tau = Delta n_g / c, the dominant
 coherence (|n - m| = 1) keeps a fraction 1 - delta of its weight as long as
-4 tau^2 Gamma(tau_l) <= ln 1/(1-delta).
+4 tau^2 Gamma(tau_l) <= ln 1/(1-delta).  spacing_report assembles the
+numbers `ngfiber design` prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bath import BathSpec, dissipation_rate_closed
 from .channel import ChannelParams
@@ -37,6 +38,10 @@ class FiberSpec:
             raise ParameterError(f"omega_c must be finite and > 0, got {self.omega_c}")
         if not (0 < self.error_budget < 1):
             raise ParameterError("error_budget must be in (0, 1)")
+        if 1.0 - self.error_budget == 1.0:
+            raise ParameterError(
+                f"error_budget {self.error_budget} is too small: 1 - error_budget rounds to 1"
+            )
         if self.delta_spacing is not None and not 0 < self.delta_spacing < math.inf:
             raise ParameterError(
                 f"delta_spacing must be finite and > 0 when set, got {self.delta_spacing}"
@@ -52,7 +57,7 @@ def transit_time(fiber: FiberSpec) -> float:
     return fiber.length * fiber.group_index / C_LIGHT
 
 
-def max_spacing(fiber: FiberSpec, tau_l: float | None = None):
+def max_spacing(fiber: FiberSpec):
     """Largest spacing meeting the error budget, and its long-link asymptote.
 
     Returns (delta_max, asymptote) in meters, where
@@ -60,16 +65,15 @@ def max_spacing(fiber: FiberSpec, tau_l: float | None = None):
         delta_max = (v / 2) sqrt(ln(1/(1-delta)) / Gamma(tau_l)),
         asymptote = v / (2 omega_c) * sqrt(ln 1/(1-delta)),
 
-    with Gamma the zero-temperature rate of bath.dissipation_rate_closed.
-    A Gamma that is not finite and > 0 raises ParameterError: tau_l = 0, a
-    tau_l so short that Gamma underflows to 0, or an omega_c tau_l whose
-    square overflows.
+    with tau_l the full-link transit time and Gamma the zero-temperature
+    rate of bath.dissipation_rate_closed.  A Gamma that is not finite and
+    > 0 raises ParameterError: a transit time so short that Gamma underflows
+    to 0, or an omega_c whose square overflows.
 
     delta_max decreases toward the asymptote as the accumulated rate
     saturates; it shrinks with omega_c and grows with the budget delta.
     """
-    if tau_l is None:
-        tau_l = transit_time(fiber)
+    tau_l = transit_time(fiber)
     rate = dissipation_rate_closed(fiber.omega_c, tau_l)
     if not 0 < rate < math.inf:
         raise ParameterError(
@@ -90,12 +94,45 @@ def segment_time(fiber: FiberSpec) -> float:
     return fiber.delta_spacing * fiber.group_index / C_LIGHT
 
 
-def bb_timescale_ratio(fiber: FiberSpec) -> float:
-    """tau * omega_c: pulse spacing in units of the bath correlation time.
+def spacing_report(fiber: FiberSpec) -> dict:
+    """The link report of `ngfiber design`, in print order.
 
-    The interleaved-pulse cancellation assumes this ratio is well below 1.
+    The chosen spacing is fiber.delta_spacing when set, else the bound
+    max_spacing gives; fiber is not changed.  decay_exponent_at_budget is
+    4 tau^2 Gamma(tau_l) at the chosen spacing, which equals
+    budget_log_term = ln 1/(1-delta) at the bound, and tau_omega_c is the
+    segment time in units of the bath correlation time 1/omega_c, which the
+    interleaved-pulse cancellation needs well below 1.  A spacing that
+    leaves more segments than a float can count raises ParameterError.
     """
-    return segment_time(fiber) * fiber.omega_c
+    tau_l = transit_time(fiber)
+    delta_max, asymptote = max_spacing(fiber)
+    chosen = fiber if fiber.delta_spacing is not None else replace(fiber, delta_spacing=delta_max)
+    segments = chosen.length / chosen.delta_spacing
+    if segments == math.inf:
+        raise ParameterError(
+            f"spacing {chosen.delta_spacing} m splits {chosen.length} m into more "
+            "segments than a float can hold"
+        )
+    tau = segment_time(chosen)
+    gamma = dissipation_rate_closed(fiber.omega_c, tau_l)
+    return {
+        "length_m": fiber.length,
+        "group_index": fiber.group_index,
+        "omega_c_rad_s": fiber.omega_c,
+        "error_budget": fiber.error_budget,
+        "transit_time_s": tau_l,
+        "x_cutoff_times_transit": fiber.omega_c * tau_l,
+        "max_spacing_m": delta_max,
+        "asymptotic_spacing_m": asymptote,
+        "chosen_spacing_m": chosen.delta_spacing,
+        "segment_time_s": tau,
+        "segment_count": math.ceil(segments),
+        "decay_exponent_at_budget": 4.0 * tau * tau * gamma,
+        "budget_log_term": math.log(1.0 / (1.0 - fiber.error_budget)),
+        "tau_omega_c": tau * fiber.omega_c,
+        "pulse_spacing_below_bath_correlation": tau * fiber.omega_c < 1.0,
+    }
 
 
 def silica_preset():

@@ -6,9 +6,10 @@ representation is reproducible across runs, and each total photon number
 N = n_a + n_b is one contiguous index range.  `_block_expm` computes
 propagators of Hermitian blocks already stacked by size (one stacked eigh per
 size, for a whole list of matrices at once); `bangbang` passes its conserved
-sectors straight in.  The dense operators (`annihilation`, `number_operator`,
-`phase_shifter`, `partial_transpose`, `expm`) are kept as reference
-implementations for the tests and `validate`.
+sectors straight in.  `partial_transpose` feeds `bangbang.negativity_trace`,
+which eigensolves it one total-photon-number block at a time.  The dense
+operators (`annihilation`, `number_operator`, `phase_shifter`, `expm`) are
+kept as reference implementations for the tests and `validate`.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class FockSpace:
 
     def index(self, na: int, nb: int) -> int:
         return self._index[(na, nb)]
-
-    def contains(self, na: int, nb: int) -> bool:
-        return (na, nb) in self._index
 
     def __eq__(self, other):
         return isinstance(other, FockSpace) and other.total_cut == self.total_cut
@@ -126,14 +124,15 @@ def phase_shifter(space: FockSpace) -> FockOperator:
     return FockOperator(space, np.diag(_quarter_phases(space)))
 
 
-def partial_transpose(rho: FockOperator, mode: str = "b") -> FockOperator:
-    """Partial transpose of a density matrix over one mode.
+def partial_transpose(rho: FockOperator) -> FockOperator:
+    """Partial transpose of a density matrix over mode b.
 
+    <n_a n_b| rho^Tb |m_a m_b> = <n_a m_b| rho |m_a n_b>.  The transpose over
+    mode a is the full transpose of this one, with the same spectrum.
     Entries whose transposed index pair falls outside the truncated basis are
     dropped; the diagonal is never affected, so the trace is preserved
     exactly.  Requires a Hermitian, unit-trace input.
     """
-    _check_mode(mode)
     space = rho.space
     if rho.hermiticity_defect() > TRACE_TOL:
         raise NonHermitianInput("partial_transpose expects a Hermitian density matrix")
@@ -147,14 +146,8 @@ def partial_transpose(rho: FockOperator, mode: str = "b") -> FockOperator:
         lookup[na, nb] = i
     na, nb = space.n_a, space.n_b
 
-    if mode == "b":
-        # <n_a n_b| rho^Tb |m_a m_b> = <n_a m_b| rho |m_a n_b>
-        src_row = lookup[na[:, None], nb[None, :]]
-        src_col = lookup[na[None, :], nb[:, None]]
-    else:
-        # <n_a n_b| rho^Ta |m_a m_b> = <m_a n_b| rho |n_a m_b>
-        src_row = lookup[na[None, :], nb[:, None]]
-        src_col = lookup[na[:, None], nb[None, :]]
+    src_row = lookup[na[:, None], nb[None, :]]
+    src_col = lookup[na[None, :], nb[:, None]]
 
     valid = (src_row >= 0) & (src_col >= 0)
     out = np.zeros_like(rho.matrix)

@@ -26,7 +26,7 @@ from .bath import (
 )
 from .channel import ChannelParams, fidelity, negativity_after_dephasing, evolve_dephasing
 from .constants import HBAR, K_B
-from .design import FiberSpec, max_spacing, segment_time, transit_time
+from .design import FiberSpec, spacing_report
 from .fock import FockSpace, annihilation, phase_shifter
 from .negativity import negativity_analytic, negativity_numeric
 from .states import build_state
@@ -120,14 +120,9 @@ def _check_phase_shifter_flip() -> CheckResult:
 
 def _check_spacing_consistency() -> CheckResult:
     fiber = FiberSpec(length=1000.0, group_index=1.6, omega_c=2.62e10, error_budget=0.05)
-    tau_l = transit_time(fiber)
-    delta_max, _ = max_spacing(fiber)
-    fiber.delta_spacing = delta_max
-    tau = segment_time(fiber)
-    gamma = dissipation_rate_closed(fiber.omega_c, tau_l)
-    exponent = 4.0 * tau * tau * gamma
-    target = math.log(1.0 / (1.0 - fiber.error_budget))
-    rel = abs(exponent - target) / target
+    report = spacing_report(fiber)
+    target = report["budget_log_term"]
+    rel = abs(report["decay_exponent_at_budget"] - target) / target
     return CheckResult(
         "spacing-bound-exponent", rel <= 5e-3, f"4 tau^2 Gamma vs budget: rel diff {rel:.3e}"
     )

@@ -1,6 +1,7 @@
 """Thermal weights, visibility factors, and the dissipation integral."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -248,6 +249,24 @@ def test_dissipation_rate_non_decreasing_in_temperature(temp, log_ratio, x):
 def test_dissipation_rate_at_zero_temperature_is_closed_form(x):
     wc = 2.62e10
     assert dissipation_rate(make_bath(0.0), x / wc) == dissipation_rate_closed(wc, x / wc)
+
+
+@pytest.mark.parametrize("temp", [0.0, 4.0])
+def test_dissipation_rate_stays_on_the_plateau_up_to_x_1e300(temp):
+    # the closed form's products overflow from x ~ 1e72 and _power_gap's t^2
+    # from x ~ 1e153; the rate must stay finite, silent and on the plateau
+    wc = 2.62e10
+    plateau = wc * wc
+    if temp:
+        with mpmath.workdps(40):
+            u = mpmath.mpf(K_B) * temp / (mpmath.mpf(HBAR) * wc)
+            plateau = float(2 * mpmath.psi(1, u) * (u * wc) ** 2 - mpmath.mpf(wc) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bath = make_bath(temp)
+        rates = [dissipation_rate(bath, 10.0**e / wc) for e in np.arange(12, 300.5, 0.5)]
+    assert np.all(np.isfinite(rates))
+    assert_allclose(rates, plateau, rtol=1e-12)
 
 
 @pytest.mark.parametrize("temp", [1e-3, 0.2, 4.0, 300.0])

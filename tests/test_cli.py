@@ -331,12 +331,26 @@ def test_sweep_refuses_invalid_points(tmp_path, grid):
      ["design", "--omega-c", "inf"],
      ["design", "--spacing", "nan"],
      ["design", "--spacing", "inf"],
-     ["design", "--length", "1e-200"]],
+     ["design", "--length", "1e-200"],
+     ["design", "--spacing", "1e-320"],
+     ["design", "--budget", "1e-17"]],
 )
 def test_unrepresentable_states_exit_two(tmp_path, capsys, argv):
-    # at a length of 1e-200 m the dissipation rate underflows to 0
+    # at a length of 1e-200 m the dissipation rate underflows to 0; a 1e-320 m
+    # spacing leaves inf segments; at a 1e-17 budget 1 - delta rounds to 1
     assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
     assert "parameter error" in capsys.readouterr().err
+
+
+def test_astronomical_links_report_the_plateau(tmp_path):
+    # x = omega_c tau_l far past 1e77, where the rate's products overflow
+    out = tmp_path / "x.csv"
+    assert run_cli("fig2", "--x-max", "1e160", "--steps", "3", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    assert run_cli("design", "--length", "1e90", "--out", str(out)) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["max_spacing_m"] == report["asymptotic_spacing_m"]
 
 
 def test_unwritable_output_exits_two(tmp_path):

@@ -6,6 +6,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ngfiber.bath import dissipation_rate, dissipation_rate_closed, dissipation_rate_quadrature
@@ -13,10 +15,10 @@ from ngfiber.channel import evolve_with_dissipation, negativity_dissipative
 from ngfiber.constants import C_LIGHT, HBAR, K_B
 from ngfiber.design import (
     FiberSpec,
-    bb_timescale_ratio,
     max_spacing,
     segment_time,
     silica_preset,
+    spacing_report,
     transit_time,
 )
 from ngfiber.errors import MissingSpacing, ParameterError, QuadratureNonConvergence
@@ -42,6 +44,8 @@ def test_fiberspec_validation():
         km_link(error_budget=0.0)
     with pytest.raises(ParameterError):
         km_link(error_budget=1.0)
+    with pytest.raises(ParameterError):  # 1 - delta rounds to 1
+        km_link(error_budget=1e-17)
     with pytest.raises(ParameterError):
         km_link(delta_spacing=0.0)
 
@@ -82,9 +86,8 @@ def test_max_spacing_closed_form():
 
 
 def test_max_spacing_limits_and_monotonicity():
-    fiber = km_link()
-    # long-link agreement tightens as x grows
-    finite, asymptote = max_spacing(fiber, tau_l=1e8 / fiber.omega_c)
+    # long-link agreement tightens as x grows: a link with x = 1e8
+    finite, asymptote = max_spacing(km_link(length=1e8 / 2.62e10 * C_LIGHT / 1.6))
     assert abs(finite - asymptote) / asymptote < 1e-6
     # vanishing budget forces vanishing spacing
     tiny, _ = max_spacing(km_link(error_budget=1e-12))
@@ -93,8 +96,8 @@ def test_max_spacing_limits_and_monotonicity():
     base = max_spacing(km_link())[0]
     assert max_spacing(km_link(omega_c=5.24e10))[0] < base
     assert max_spacing(km_link(error_budget=0.2))[0] > base
-    with pytest.raises(ParameterError):
-        max_spacing(fiber, tau_l=0.0)
+    with pytest.raises(ParameterError):  # Gamma underflows to 0
+        max_spacing(km_link(length=1e-200))
 
 
 def test_spacing_bound_meets_budget_end_to_end():
@@ -118,11 +121,26 @@ def test_segment_time():
         segment_time(km_link())
 
 
-def test_bb_timescale_ratio_is_small():
-    fiber = km_link(delta_spacing=0.8e-3)
-    ratio = bb_timescale_ratio(fiber)
-    assert_allclose(ratio, 0.11178666666666667, rtol=1e-15)
-    assert ratio < 1.0
+def test_spacing_report_chooses_the_bound_without_setting_it():
+    fiber = km_link()
+    report = spacing_report(fiber)
+    assert fiber.delta_spacing is None
+    assert report["chosen_spacing_m"] == report["max_spacing_m"] == max_spacing(fiber)[0]
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@given(log_uniform(1.0, 1e8), st.floats(1.4, 1.7), log_uniform(0.005, 0.3))
+def test_spacing_report_meets_budget_across_links(length, group_index, budget):
+    # 4 tau^2 Gamma = ln 1/(1-delta) at the bound, from a metre to 1e5 km
+    fiber = km_link(length=length, group_index=group_index, error_budget=budget)
+    report = spacing_report(fiber)
+    assert_allclose(
+        report["decay_exponent_at_budget"], report["budget_log_term"], rtol=1e-13
+    )
+    assert report["segment_count"] >= length / report["chosen_spacing_m"]
 
 
 def test_silica_preset_numbers():
