@@ -135,12 +135,15 @@ def dissipation_rate_closed(omega_c: float, tau_l: float) -> float:
     x = omega_c tau_l.  Grows as 3 x^2 omega_c^2 for x << 1 and saturates at
     omega_c^2 for x >> 1, within ~1/x^2.  Where these products overflow
     (from x ~ 1e72 at omega_c = 2.62e10) the ratio is taken in y = 1/x^2 as
-    (1 + 3y) / (1 + y)^2, finite at every finite x.  Units rad^2/s^2.
+    (1 + 3y) / (1 + y)^2, finite at every finite x.  Exactly 0 at tau_l = 0,
+    even where omega_c^2 overflows.  Units rad^2/s^2.
     """
     if omega_c <= 0:
         raise ParameterError("omega_c must be > 0")
     if tau_l < 0:
         raise ParameterError("tau_l must be >= 0")
+    if tau_l == 0:
+        return 0.0
     omega_c, tau_l = float(omega_c), float(tau_l)  # Python floats raise, never warn
     x = omega_c * tau_l
     x2 = x * x

@@ -23,6 +23,8 @@ from .states import ManifoldDensityMatrix, NonGaussianState
 # Largest n_max + 1 for which a dense manifold matrix is built.  Assembly peaks
 # at about 48 B (n_max + 1)^2, so 0.8 GB here; zeta = 0.99 needs 1947.
 MANIFOLD_BUDGET = 4096
+# exp(-x) is exactly 0.0 in double precision for every x > 745.2
+_FULL_DECAY = 1000.0
 
 
 @dataclass
@@ -48,7 +50,7 @@ class ChannelParams:
 
 
 def _thermal_phase_means(n_max: int, params: ChannelParams, bath: BathSpec) -> np.ndarray:
-    """d[k] = sum_{s<=S} p_s exp(-2 i tau_l gamma_plus s k) for k = 0..n_max.
+    """d[k] = sum_{s<=S} p_s exp(-2 i tau_l gamma_plus s k) for k = 0..n_max; d[0] = 1.
 
     With the weights of gibbs_weights (cut at S = s_max, renormalized) this is
     a geometric sum: d_k = (1-q)(1-(q z)^(S+1)) / ((1-q^(S+1))(1-q z)) with
@@ -61,13 +63,18 @@ def _thermal_phase_means(n_max: int, params: ChannelParams, bath: BathSpec) -> n
     phi = 2.0 * params.tau_l * params.gamma_plus * np.arange(n_max + 1)
     one_q = -math.expm1(-beta)
     numer = one_q * -np.expm1(-levels * (beta + 1j * phi))
-    return numer / (-math.expm1(-levels * beta) * (one_q - q * np.expm1(-1j * phi)))
+    d = numer / (-math.expm1(-levels * beta) * (one_q - q * np.expm1(-1j * phi)))
+    d[0] = 1.0  # the quotient of equal numbers can round one ulp off
+    return d
 
 
 def _negativity(state: NonGaussianState, factors: np.ndarray) -> float:
-    """2 sum_{k>=1} |factors_k| A_k, with A_k = sum_n |c_n||c_{n+k}|."""
-    a = np.abs(state.coeffs)
-    return 2.0 * float(np.dot(np.abs(factors[1:]), np.correlate(a, a, "full")[state.n_max + 1 :]))
+    """2 sum_{k>=1} |factors_k| A_k, with A_k = sum_n |c_n||c_{n+k}|.
+
+    A_k is the state's cached autocorrelation, so after its first use on a
+    state each call costs O(n_max).
+    """
+    return 2.0 * float(np.dot(np.abs(factors[1:]), state._abs_autocorr[1:]))
 
 
 def _manifold_rho(
@@ -112,11 +119,11 @@ def fidelity(state: NonGaussianState, params: ChannelParams, bath: BathSpec) -> 
 
     Equals sum_s p_s |sum_n |c_n|^2 exp(-i tau_l n (omega_total +
     2 gamma_plus s))|^2 = B_0 + 2 sum_{k>=1} B_k Re(phi_k d_k), B the
-    autocorrelation of |c|^2; bounded by 1, reaching it whenever every
-    relative phase winds by a multiple of 2 pi.
+    autocorrelation of |c|^2 (cached on the state, so O(n_max) after its
+    first use); bounded by 1, reaching it whenever every relative phase
+    winds by a multiple of 2 pi.
     """
-    w = np.abs(state.coeffs) ** 2
-    b = np.correlate(w, w, "full")[state.n_max :]
+    b = state._pop_autocorr
     d = np.exp(-1j * (params.tau_l * params.omega_total) * np.arange(state.n_max + 1))
     d *= _thermal_phase_means(state.n_max, params, bath)
     f = float(b[0] + 2.0 * np.dot(b[1:], d[1:].real))
@@ -159,11 +166,22 @@ def negativity_after_dephasing(
     return _negativity(state, _thermal_phase_means(state.n_max, params, bath))
 
 
+def _timing_decay(epsilon: float, gamma: float, n_max: int) -> np.ndarray:
+    """exp(-4 epsilon^2 Gamma k^2) for k = 0..n_max.
+
+    A rate of 0 (tau_l = 0) gives exact ones even where epsilon^2 overflows,
+    and d_0 is exactly 1.  The prefactor is capped at _FULL_DECAY, past which
+    every k >= 1 decays to 0.0 all the same, so no inf * 0 and no overflow is
+    ever formed.
+    """
+    scale = min(4.0 * epsilon * epsilon * gamma, _FULL_DECAY) if gamma > 0 else 0.0
+    k = np.arange(n_max + 1, dtype=float)
+    return np.exp(-(scale * k * k))
+
+
 def _dissipative_factors(n_max: int, params: ChannelParams, bath: BathSpec) -> np.ndarray:
     """Thermal means times exp(-4 epsilon^2 Gamma k^2), Gamma the closed-form rate at bath T."""
-    gamma = dissipation_rate(bath, params.tau_l)
-    k = np.arange(n_max + 1, dtype=float)
-    decay = np.exp(-(4.0 * params.epsilon * params.epsilon * gamma * k * k))
+    decay = _timing_decay(params.epsilon, dissipation_rate(bath, params.tau_l), n_max)
     return decay * _thermal_phase_means(n_max, params, bath)
 
 
@@ -191,9 +209,13 @@ def negativity_dissipative(
     N = sum_{n != m} |c_n||c_m| exp(-4 epsilon^2 Gamma (n-m)^2) and requires
     bath.temperature == 0.  With combined=True the thermal visibility factors
     are multiplied in as well (and Gamma becomes the finite-temperature
-    rate), matching evolve_with_dissipation at T > 0.
+    rate), matching evolve_with_dissipation at T > 0.  At T = 0 every
+    thermal visibility is 1, so only the real decay row is built.
     """
-    if bath.temperature > 0.0 and not combined:
+    if bath.temperature == 0.0:
+        gamma = dissipation_rate(bath, params.tau_l)
+        return _negativity(state, _timing_decay(params.epsilon, gamma, state.n_max))
+    if not combined:
         raise ParameterError(
             "the plain dissipative series is a T = 0 result; pass combined=True "
             "to fold in thermal visibilities"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -104,11 +105,12 @@ def cmd_fig1(args) -> int:
 def cmd_fig2(args) -> int:
     if args.steps < 2:
         raise ParameterError("steps must be >= 2")
-    if args.x_max <= 0:
-        raise ParameterError("x-max must be > 0")
+    if not 0.0 < args.x_max < math.inf:
+        raise ParameterError(f"x-max must be finite and > 0, got {args.x_max}")
     state = build_state(args.p, args.zeta, tail_tol=args.tail_tol)
     bath = BathSpec(omega_phonon=args.omega_c, temperature=0.0, omega_c=args.omega_c)
     xs = np.linspace(0.0, args.x_max, args.steps)
+    # every row reduces against the state's one cached A_k
     fluct = [
         negativity_dissipative(
             state,
@@ -169,25 +171,38 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION
 
 
-def _sweep_point(run: RunConfig, assignment: dict):
-    params_dict = dict(run.fixed)
-    params_dict.update(assignment)
-    state = build_state(params_dict["p"], params_dict["zeta"], tail_tol=params_dict["tail_tol"])
-    bath = BathSpec(
-        omega_phonon=params_dict["omega_phonon"],
-        temperature=params_dict["temperature"],
-        omega_c=params_dict["omega_c"],
-    )
-    channel = ChannelParams(
-        omega_a=params_dict["omega_a"],
-        omega_b=params_dict["omega_b"],
-        gamma_plus=params_dict["gamma_plus"],
-        gamma_minus=params_dict["gamma_minus"],
-        tau_l=params_dict["tau_l"],
-        epsilon=params_dict["epsilon"],
-    )
+def _sweep_inputs(run: RunConfig, assignments: list) -> list:
+    """(state, bath, channel) of every grid point, in grid order.
+
+    Each distinct (p, zeta, tail_tol) state is built once and shared by the
+    points that use it, so its autocorrelations are computed once too.
+    """
+    states = {}
+    inputs = []
+    for assignment in assignments:
+        v = {**run.fixed, **assignment}
+        key = (v["p"], v["zeta"], v["tail_tol"])
+        if key not in states:
+            states[key] = build_state(*key)
+        bath = BathSpec(
+            omega_phonon=v["omega_phonon"], temperature=v["temperature"], omega_c=v["omega_c"]
+        )
+        channel = ChannelParams(
+            omega_a=v["omega_a"],
+            omega_b=v["omega_b"],
+            gamma_plus=v["gamma_plus"],
+            gamma_minus=v["gamma_minus"],
+            tau_l=v["tau_l"],
+            epsilon=v["epsilon"],
+        )
+        inputs.append((states[key], bath, channel))
+    return inputs
+
+
+def _sweep_point(observables: tuple, inputs: tuple) -> list:
+    state, bath, channel = inputs
     values = []
-    for name in run.observables:
+    for name in observables:
         if name == "negativity":
             values.append(negativity_analytic(state))
         elif name == "negativity_dephased":
@@ -202,6 +217,12 @@ def _sweep_point(run: RunConfig, assignment: dict):
 
 
 def cmd_sweep(args) -> int:
+    """Evaluate the config's observables on its grid; write one row per point in grid order.
+
+    The points' states, baths and channels are built first, in grid order in
+    the calling thread, each distinct state once; the states stay alive until
+    the sweep ends.  A pool of --jobs threads then evaluates the points.
+    """
     if args.jobs < 1:
         raise ParameterError("jobs must be >= 1")
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -216,8 +237,9 @@ def cmd_sweep(args) -> int:
             {**base, axis: value} for base in assignments for value in run.grid[axis]
         ]
 
+    inputs = _sweep_inputs(run, assignments)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(lambda a: _sweep_point(run, a), assignments))
+        results = list(pool.map(functools.partial(_sweep_point, run.observables), inputs))
 
     header = tuple(axes) + run.observables
     rows = [

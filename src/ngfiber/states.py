@@ -15,6 +15,7 @@ recorded tail bound alike, whether n_max is chosen by the tail rule or given.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,7 +120,11 @@ def normalization(p: int, zeta: complex, tail_tol: float = DEFAULT_TAIL_TOL):
 
 @dataclass
 class NonGaussianState:
-    """Normalized manifold state: coefficient c_n multiplies |n, n+p>."""
+    """Normalized manifold state: coefficient c_n multiplies |n, n+p>.
+
+    The autocorrelations of |c| and |c|^2 that every channel observable
+    reduces against are cached on first use, so coeffs must not change after.
+    """
 
     p: int
     zeta: complex
@@ -135,6 +140,18 @@ class NonGaussianState:
 
     def abs_coeffs(self) -> np.ndarray:
         return np.abs(self.coeffs)
+
+    @functools.cached_property
+    def _abs_autocorr(self) -> np.ndarray:
+        """A_k = sum_n |c_n||c_{n+k}| for k = 0..n_max, computed on first use."""
+        a = np.abs(self.coeffs)
+        return np.correlate(a, a, "full")[self.n_max :]
+
+    @functools.cached_property
+    def _pop_autocorr(self) -> np.ndarray:
+        """B_k = sum_n |c_n|^2 |c_{n+k}|^2 for k = 0..n_max, computed on first use."""
+        w = np.abs(self.coeffs) ** 2
+        return np.correlate(w, w, "full")[self.n_max :]
 
     def density_matrix(self) -> "ManifoldDensityMatrix":
         rho = np.outer(self.coeffs, self.coeffs.conj())

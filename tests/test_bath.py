@@ -148,6 +148,15 @@ def test_dissipation_closed_form_limits():
     assert dissipation_rate_closed(wc, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("temp", [0.0, 0.2, 300.0])
+@pytest.mark.parametrize("wc", [2.62e10, 1e200, 1.7e308])
+def test_dissipation_rate_is_exactly_zero_at_zero_time(temp, wc):
+    # omega_c^2 overflows to inf past ~1.3e154; inf * 0 must not reach the rate
+    bath = BathSpec(omega_phonon=2.62e10, temperature=temp, omega_c=wc)
+    assert dissipation_rate(bath, 0.0) == 0.0
+    assert dissipation_rate_closed(wc, 0.0) == 0.0
+
+
 def test_dissipation_closed_vs_quadrature_zero_temperature():
     bath = make_bath(0.0)
     wc = bath.omega_c

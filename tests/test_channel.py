@@ -21,7 +21,10 @@ from ngfiber.bath import (
 from ngfiber.channel import (
     MANIFOLD_BUDGET,
     ChannelParams,
+    _dissipative_factors,
+    _negativity,
     _thermal_phase_means,
+    _timing_decay,
     evolve_dephasing,
     evolve_with_dissipation,
     fidelity,
@@ -225,6 +228,49 @@ def test_dissipation_preserves_diagonal():
         np.diag(rho.rho).real, np.abs(state.coeffs) ** 2, rtol=0, atol=1e-14
     )
     rho.validate()
+
+
+@pytest.mark.parametrize("p, zeta", [(0, 0.0), (0, 0.3), (1, 0.5), (3, 0.9), (2, 0.99)])
+def test_cached_autocorrelations_equal_correlate(p, zeta):
+    state = build_state(p, zeta)
+    a = np.abs(state.coeffs)
+    w = a**2
+    assert np.array_equal(state._abs_autocorr, np.correlate(a, a, "full")[state.n_max :])
+    assert np.array_equal(state._pop_autocorr, np.correlate(w, w, "full")[state.n_max :])
+    # computed once: later reads return the same array
+    assert state._abs_autocorr is state._abs_autocorr
+    assert state._pop_autocorr is state._pop_autocorr
+
+
+def test_timing_decay_is_one_at_k_zero_and_zero_rate():
+    # epsilon^2 overflows to inf: inf * 0 must not be formed at k = 0 or Gamma = 0
+    assert np.array_equal(_timing_decay(1e300, 0.0, 4), np.ones(5))
+    for gamma in (1.0, 7e20):
+        assert np.array_equal(_timing_decay(1e300, gamma, 4), [1.0, 0.0, 0.0, 0.0, 0.0])
+    # a finite prefactor 4e307 whose exponent (4e307 k) k overflows at k = 3
+    assert np.array_equal(_timing_decay(1.0, 1e307, 3), [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("temp", [0.0, 0.013354385751742593, 0.2, 300.0])
+@pytest.mark.parametrize("epsilon", [0.0, 4e-12, 1e300])
+def test_every_channel_keeps_d0_exactly_one(temp, epsilon):
+    # at this 13.4 mK the thermal quotient at k = 0 rounds to 1 - 1.1e-16 unless pinned
+    bath = warm_bath(temp) if temp else cold_bath()
+    for tau in (0.0, 3.0 / WC):
+        pars = params(tau, gamma_plus=1e8, epsilon=epsilon)
+        assert _thermal_phase_means(6, pars, bath)[0] == 1.0
+        assert _dissipative_factors(6, pars, bath)[0] == 1.0
+
+
+@pytest.mark.parametrize("p, zeta", [(0, 0.3), (1, 0.6), (3, 0.9)])
+@pytest.mark.parametrize("tau", [0.0, 3.0 / WC, 1e-6])
+def test_zero_temperature_dissipative_negativity_matches_the_general_route(p, zeta, tau):
+    # at T = 0 every thermal mean is an exact 1, so the real decay row gives the same bits
+    state = build_state(p, zeta)
+    pars = params(tau, gamma_plus=1e9, epsilon=4e-12)
+    general = _negativity(state, _dissipative_factors(state.n_max, pars, cold_bath()))
+    assert negativity_dissipative(state, pars, cold_bath()) == general
+    assert negativity_dissipative(state, pars, cold_bath(), combined=True) == general
 
 
 def coherence_magnitudes(state, bath, x, decay_rate=0.0):

@@ -2,11 +2,20 @@
 
 import json
 import math
+import os
 import re
+import sys
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngfiber import cli
+from ngfiber.bath import BathSpec
+from ngfiber.channel import ChannelParams, _dissipative_factors, _negativity
 from ngfiber.design import silica_preset
 from ngfiber.errors import TruncationTooSmall
 from ngfiber.negativity import negativity_analytic
@@ -107,6 +116,72 @@ def test_fig2_validation(tmp_path):
     assert run_cli("fig2", "--out", out, "--steps", "1") == 2
     assert run_cli("fig2", "--out", out, "--x-max", "0") == 2
     assert run_cli("fig2", "--out", out, "--zeta", "1.1") == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epsilon", "-1"), ("--epsilon", "inf"), ("--x-max", "inf"), ("--x-max", "nan"),
+     ("--omega-c", "0"), ("--omega-c", "inf")],
+)
+def test_fig2_refuses_out_of_range_inputs_without_warning(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fig2", flag, value, "--steps", "5", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "parameter error" in err
+    if flag == "--x-max":
+        assert "x-max must be finite and > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--omega-c", "1e200"], ["--epsilon", "1e300"]])
+def test_fig2_at_overflowing_rates_writes_no_nan(tmp_path, argv):
+    # omega_c^2 or epsilon^2 overflows to inf; at x = 0 the rate is exactly 0,
+    # so row 0 is the undecayed value whatever omega_c and epsilon are
+    ref, out = tmp_path / "ref.csv", tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fig2", "--steps", "4", "--out", str(ref)) == 0
+        assert run_cli("fig2", *argv, "--steps", "4", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    ref_rows = [line.split(",") for line in ref.read_text(encoding="utf-8").splitlines()[1:]]
+    assert rows[0] == ref_rows[0]
+    assert {row[2] for row in rows} == {ref_rows[0][2]}
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=-13.0, max_value=-10.0).map(lambda e: 10.0**e),
+    st.floats(min_value=-1.0, max_value=4.0).map(lambda e: 10.0**e),
+    st.integers(min_value=2, max_value=30),
+)
+def test_fig2_rows_are_bit_equal_to_the_general_route(p, zeta, epsilon, x_max, steps):
+    omega_c = 2.62e10
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "fig2.csv")
+        argv = ["fig2", "--p", str(p), "--zeta", repr(zeta), "--epsilon", repr(epsilon),
+                "--x-max", repr(x_max), "--steps", str(steps), "--out", out]
+        assert run_cli(*argv) == 0
+        with open(out, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[1:]
+    # the reference takes the general route, thermal means included, which
+    # negativity_dissipative skips at T = 0
+    state = build_state(p, zeta)
+    bath = BathSpec(omega_phonon=omega_c, temperature=0.0, omega_c=omega_c)
+    values = [
+        _negativity(
+            state,
+            _dissipative_factors(
+                state.n_max, ChannelParams(0.0, 0.0, 0.0, 0.0, float(x) / omega_c, epsilon), bath
+            ),
+        )
+        for x in np.linspace(0.0, x_max, steps)
+    ]
+    assert [line.split(",")[1] for line in lines] == [f"{v:.16e}" for v in values]
 
 
 def test_design_report(tmp_path, capsys):
@@ -282,8 +357,10 @@ def test_sweep_single_point_matches_direct_call(tmp_path):
 def test_sweep_jobs_do_not_change_output(tmp_path):
     cfg = sweep_config(
         tmp_path,
-        "[grid]\nzeta = 0.1, 0.3, 0.5, 0.7\ntau_l = 1e-8, 3e-8\n"
-        "[output]\nobservables = negativity, fidelity\n",
+        "[fixed]\ngamma_plus = 3e8\nepsilon = 4e-12\nomega_a = 1.216e15\nomega_b = 1.216e15\n"
+        "[grid]\nzeta = 0.1, 0.3, 0.5, 0.7\ntemperature = 0, 0.5\ntau_l = 1e-8, 3e-8\n"
+        "[output]\nobservables = negativity, negativity_dephased, negativity_dissipative, "
+        "fidelity\n",
     )
     outs = []
     for jobs in ("1", "3"):
@@ -291,6 +368,52 @@ def test_sweep_jobs_do_not_change_output(tmp_path):
         assert run_cli("sweep", "--config", cfg, "--out", str(out), "--jobs", jobs) == 0
         outs.append(read_bytes(out))
     assert outs[0] == outs[1]
+
+
+def test_sweep_builds_each_distinct_state_once(tmp_path, monkeypatch):
+    cfg = sweep_config(
+        tmp_path,
+        "[grid]\np = 0, 1\nzeta = 0.2, 0.4\ngamma_plus = 1e8, 1e9\ntau_l = 1e-8, 2e-8\n"
+        "[output]\nobservables = negativity, negativity_dephased, fidelity\n",
+    )
+    ref = tmp_path / "ref.csv"
+    assert run_cli("sweep", "--config", cfg, "--out", str(ref), "--jobs", "1") == 0
+    built = []
+
+    def counting_build_state(*args, **kwargs):
+        built.append(args)
+        return build_state(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_state", counting_build_state)
+    for jobs in ("1", "3"):
+        built.clear()
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--jobs", jobs) == 0
+        # 16 points over 4 distinct (p, zeta) states, built in grid order
+        assert [args[:2] for args in built] == [(0, 0.2), (0, 0.4), (1, 0.2), (1, 0.4)]
+        assert read_bytes(out) == read_bytes(ref)
+
+
+def test_sweep_threads_share_states_safely(tmp_path):
+    # 8 threads on 2 shared states, switching every microsecond: each state's
+    # autocorrelations are computed lazily by whichever thread reads them first
+    cfg = sweep_config(
+        tmp_path,
+        "[fixed]\ngamma_plus = 3e8\nepsilon = 4e-12\n"
+        "[grid]\nzeta = 0.6, 0.9\ntemperature = 0, 0.2, 4\n"
+        "tau_l = 1e-8, 2e-8, 3e-8, 4e-8, 5e-8, 6e-8\n",
+    )
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in ("1", "8", "8"):
+            out = tmp_path / f"x{len(outs)}.csv"
+            assert run_cli("sweep", "--config", cfg, "--out", str(out), "--jobs", jobs) == 0
+            outs.append(read_bytes(out))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_sweep_error_paths(tmp_path):
