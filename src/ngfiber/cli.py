@@ -7,6 +7,12 @@ Subcommands
     validate  cross-route consistency suite
     sweep     parameter grid driven by a config file
 
+fig1, fig2 and sweep write a table to --out, as CSV or (--format json) JSON;
+--emit-plot-script adds a gnuplot script OUT.gp and needs CSV.  design and
+validate take --out only: design prints its JSON report to stdout without
+it, validate always prints its check lines and writes JSON only with it.
+Every output file goes through _write (UTF-8, \\n line endings).
+
 Exit codes: 0 success, 2 parameter/config validation, 3 numerical failure,
 4 validation-suite failure.  All tabular output is deterministic: rerunning
 a command with the same inputs produces byte-identical files.
@@ -18,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,51 +45,42 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 
-def _format_value(x) -> str:
-    return f"{float(x):.16e}"
-
-
-def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
+def _write(path: str, text: str) -> None:
+    """The one way an output file is written: UTF-8 with \\n line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
-def write_json_table(path: str, header, rows) -> None:
-    payload = {"columns": list(header), "rows": [[float(v) for v in row] for row in rows]}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def write_table(path: str, fmt: str, header, rows) -> None:
-    if fmt == "csv":
-        write_csv(path, header, rows)
+def write_table(args, header, rows, title: str) -> None:
+    """Write rows to args.out as CSV or JSON; with --emit-plot-script also OUT.gp.
+
+    The gnuplot script plots every column against the first and names the
+    data file by its basename, so the pair can be moved together.
+    """
+    if args.format == "json":
+        text = _json({"columns": list(header), "rows": [[float(v) for v in row] for row in rows]})
     else:
-        write_json_table(path, header, rows)
-
-
-def write_plot_script(out_path: str, header, title: str) -> str:
-    """Gnuplot script plotting every column against the first, by relative path."""
-    import os
-
-    script_path = out_path + ".gp"
-    data_name = os.path.basename(out_path)
-    lines = [
-        f"# gnuplot script for {data_name}",
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        f"set xlabel '{header[0]}'",
-        f"set title '{title}'",
-    ]
-    plots = ", ".join(
-        f"'{data_name}' using 1:{i + 2} with lines" for i in range(len(header) - 1)
-    )
-    lines.append(f"plot {plots}")
-    with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return script_path
+        lines = [",".join(header)] + [",".join(f"{float(v):.16e}" for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _write(args.out, text)
+    if args.emit_plot_script:
+        data_name = os.path.basename(args.out)
+        plots = ", ".join(
+            f"'{data_name}' using 1:{i + 2} with lines" for i in range(len(header) - 1)
+        )
+        lines = [
+            f"# gnuplot script for {data_name}",
+            "set datafile separator ','",
+            "set key autotitle columnhead",
+            f"set xlabel '{header[0]}'",
+            f"set title '{title}'",
+            f"plot {plots}",
+        ]
+        _write(args.out + ".gp", "\n".join(lines) + "\n")
 
 
 def cmd_fig1(args) -> int:
@@ -95,10 +93,7 @@ def cmd_fig1(args) -> int:
     for zeta in zetas:
         state = build_state(args.p, float(zeta), tail_tol=args.tail_tol)
         rows.append((zeta, negativity_analytic(state)))
-    header = ("zeta", "negativity")
-    write_table(args.out, args.format, header, rows)
-    if args.emit_plot_script and args.format == "csv":
-        write_plot_script(args.out, header, "negativity vs squeezing")
+    write_table(args, ("zeta", "negativity"), rows, "negativity vs squeezing")
     return EXIT_OK
 
 
@@ -107,6 +102,8 @@ def cmd_fig2(args) -> int:
         raise ParameterError("steps must be >= 2")
     if not 0.0 < args.x_max < math.inf:
         raise ParameterError(f"x-max must be finite and > 0, got {args.x_max}")
+    if not 0.0 < args.omega_c < math.inf:
+        raise ParameterError(f"omega-c must be finite and > 0, got {args.omega_c}")
     state = build_state(args.p, args.zeta, tail_tol=args.tail_tol)
     bath = BathSpec(omega_phonon=args.omega_c, temperature=0.0, omega_c=args.omega_c)
     xs = np.linspace(0.0, args.x_max, args.steps)
@@ -125,9 +122,7 @@ def cmd_fig2(args) -> int:
     # xs starts at exactly 0, so row 0 is the fluctuation-free reference
     rows = [(x, value, fluct[0]) for x, value in zip(xs, fluct)]
     header = ("x", "negativity_fluct", "negativity_no_fluct")
-    write_table(args.out, args.format, header, rows)
-    if args.emit_plot_script and args.format == "csv":
-        write_plot_script(args.out, header, "negativity vs accumulated time")
+    write_table(args, header, rows, "negativity vs accumulated time")
     return EXIT_OK
 
 
@@ -139,10 +134,9 @@ def cmd_design(args) -> int:
         error_budget=args.budget,
         delta_spacing=args.spacing,
     )
-    text = json.dumps(spacing_report(fiber), indent=2) + "\n"
+    text = _json(spacing_report(fiber))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -154,15 +148,8 @@ def cmd_validate(args) -> int:
         status = "ok" if res.passed else "FAIL"
         sys.stdout.write(f"check {res.name}: {status} ({res.detail})\n")
     if args.out:
-        payload = {
-            "level": args.level,
-            "checks": [
-                {"name": r.name, "passed": bool(r.passed), "detail": r.detail}
-                for r in results
-            ],
-        }
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        checks = [{"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results]
+        _write(args.out, _json({"level": args.level, "checks": checks}))
     if all(r.passed for r in results):
         sys.stdout.write(f"{len(results)} checks passed\n")
         return EXIT_OK
@@ -191,7 +178,7 @@ def _sweep_inputs(run: RunConfig, assignments: list) -> list:
             omega_a=v["omega_a"],
             omega_b=v["omega_b"],
             gamma_plus=v["gamma_plus"],
-            gamma_minus=v["gamma_minus"],
+            gamma_minus=0.0,
             tau_l=v["tau_l"],
             epsilon=v["epsilon"],
         )
@@ -208,9 +195,7 @@ def _sweep_point(observables: tuple, inputs: tuple) -> list:
         elif name == "negativity_dephased":
             values.append(negativity_after_dephasing(state, channel, bath))
         elif name == "negativity_dissipative":
-            values.append(
-                negativity_dissipative(state, channel, bath, combined=bath.temperature > 0)
-            )
+            values.append(negativity_dissipative(state, channel, bath, combined=True))
         else:
             values.append(fidelity(state, channel, bath))
     return values
@@ -246,19 +231,17 @@ def cmd_sweep(args) -> int:
         tuple(assignment[axis] for axis in axes) + tuple(values)
         for assignment, values in zip(assignments, results)
     ]
-    write_table(args.out, args.format, header, rows)
-    if args.emit_plot_script and args.format == "csv":
-        write_plot_script(args.out, header, "parameter sweep")
+    write_table(args, header, rows, "parameter sweep")
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
-    parser.add_argument("--out", required=out_required, help="output file path")
+def _add_table_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
         "--emit-plot-script",
         action="store_true",
-        help="write a gnuplot script next to CSV output",
+        help="also write OUT.gp, a gnuplot script for the CSV output",
     )
 
 
@@ -271,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("fig1", help="negativity vs squeezing magnitude")
-    _add_common(p1)
+    _add_table_flags(p1)
     p1.add_argument("--p", type=int, default=1, help="number of subtracted photons")
     p1.add_argument("--zeta-min", type=float, default=0.05)
     p1.add_argument("--zeta-max", type=float, default=0.85)
@@ -280,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.set_defaults(func=cmd_fig1)
 
     p2 = sub.add_parser("fig2", help="negativity vs accumulated decay time")
-    _add_common(p2)
+    _add_table_flags(p2)
     p2.add_argument("--p", type=int, default=1)
     p2.add_argument("--zeta", type=float, default=0.5)
     p2.add_argument("--epsilon", type=float, default=4.325e-12, help="timing jitter, s")
@@ -291,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2.set_defaults(func=cmd_fig2)
 
     pd = sub.add_parser("design", help="spacing bound and timing report")
-    _add_common(pd, out_required=False)
+    pd.add_argument("--out", help="output file path (default: stdout)")
     pd.add_argument("--length", type=float, default=1000.0, help="link length, m")
     pd.add_argument("--group-index", type=float, default=1.6)
     pd.add_argument("--omega-c", type=float, default=2.62e10)
@@ -300,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=cmd_design)
 
     pv = sub.add_parser("validate", help="run the cross-route consistency suite")
-    _add_common(pv, out_required=False)
+    pv.add_argument("--out", help="also write the checks as JSON to this path")
     pv.add_argument("--level", choices=("fast", "full"), default="fast")
     pv.set_defaults(func=cmd_validate)
 
     ps = sub.add_parser("sweep", help="parameter grid from a config file")
-    _add_common(ps)
+    _add_table_flags(ps)
     ps.add_argument("--config", required=True, help="sweep config file")
     ps.add_argument("--jobs", type=int, default=4, help="worker threads")
     ps.set_defaults(func=cmd_sweep)
@@ -317,6 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "emit_plot_script", False) and args.format != "csv":
+            raise ParameterError("--emit-plot-script needs --format csv")
         return args.func(args)
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")

@@ -19,7 +19,6 @@ _FIXED_DEFAULTS = {
     "p": 1,
     "zeta": 0.5,
     "gamma_plus": 0.0,
-    "gamma_minus": 0.0,
     "temperature": 0.0,
     "epsilon": 0.0,
     "tau_l": 0.0,

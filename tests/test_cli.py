@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import pathlib
 import re
+import shlex
 import sys
 import tempfile
 import warnings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from ngfiber import cli
 from ngfiber.bath import BathSpec
 from ngfiber.channel import ChannelParams, _dissipative_factors, _negativity
+from ngfiber.config import _FIXED_DEFAULTS
 from ngfiber.design import silica_preset
 from ngfiber.errors import TruncationTooSmall
 from ngfiber.negativity import negativity_analytic
@@ -79,6 +82,63 @@ def test_fig1_plot_script(tmp_path):
     assert "plot" in script
 
 
+SWEEP_TWO_BY_TWO = (
+    "[grid]\nzeta = 0.2, 0.4\ntau_l = 1e-8, 2e-8\n[output]\nobservables = negativity, fidelity\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, script",
+    [
+        (["fig2", "--steps", "3"],
+         "set xlabel 'x'\n"
+         "set title 'negativity vs accumulated time'\n"
+         "plot 'curve.csv' using 1:2 with lines, 'curve.csv' using 1:3 with lines\n"),
+        (["sweep", "--config", "two.cfg"],
+         "set xlabel 'zeta'\n"
+         "set title 'parameter sweep'\n"
+         "plot 'curve.csv' using 1:2 with lines, 'curve.csv' using 1:3 with lines, "
+         "'curve.csv' using 1:4 with lines\n"),
+    ],
+    ids=["fig2", "sweep"],
+)
+def test_plot_script_text(tmp_path, monkeypatch, argv, script):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.cfg").write_text(SWEEP_TWO_BY_TWO, encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    assert run_cli(*argv, "--out", str(out), "--emit-plot-script") == 0
+    # the data file is named by its basename
+    assert read_bytes(tmp_path / "curve.csv.gp").decode("utf-8") == (
+        "# gnuplot script for curve.csv\n"
+        "set datafile separator ','\n"
+        "set key autotitle columnhead\n" + script
+    )
+
+
+@pytest.mark.parametrize("argv", [["fig1"], ["fig2"], ["sweep", "--config", "two.cfg"]])
+def test_plot_script_with_json_is_refused_up_front(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.cfg").write_text(SWEEP_TWO_BY_TWO, encoding="utf-8")
+
+    def explode(*args, **kwargs):
+        raise TruncationTooSmall("a state was built")
+
+    monkeypatch.setattr(cli, "build_state", explode)
+    code = run_cli(*argv, "--out", "t.json", "--format", "json", "--emit-plot-script")
+    assert code == 2  # refused before any state build, which would exit 3
+    assert "--emit-plot-script needs --format csv" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["two.cfg"]
+
+
+@pytest.mark.parametrize("command", ["design", "validate"])
+@pytest.mark.parametrize("flags", [["--format", "csv"], ["--emit-plot-script"]])
+def test_design_and_validate_take_no_table_flags(tmp_path, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *flags, "--out", str(tmp_path / "x.json"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_fig1_json_format(tmp_path):
     out = tmp_path / "fig1.json"
     assert run_cli("fig1", "--out", str(out), "--steps", "5", "--format", "json") == 0
@@ -132,6 +192,10 @@ def test_fig2_refuses_out_of_range_inputs_without_warning(tmp_path, capsys, flag
     assert "parameter error" in err
     if flag == "--x-max":
         assert "x-max must be finite and > 0" in err
+    if flag == "--omega-c":
+        # named as the user set it, not as the bath field it also feeds
+        assert f"omega-c must be finite and > 0, got {float(value)}" in err
+        assert "omega_phonon" not in err
     assert not out.exists()
 
 
@@ -431,6 +495,16 @@ def test_sweep_error_paths(tmp_path):
     assert run_cli("sweep", "--config", cfg, "--out", out, "--jobs", "0") == 2
 
 
+def test_sweep_refuses_the_difference_coupling_key(tmp_path, capsys):
+    # gamma_minus couples to n_a - n_b, a no-op on the manifold: no sweep value
+    # could move a result, so the key is not a fixed parameter
+    cfg = sweep_config(tmp_path, "[fixed]\ngamma_minus = 1e9\n[grid]\nzeta = 0.4\n")
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
+    assert "unknown fixed parameter 'gamma_minus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid",
     ["p = 1.5", "p = nan", "zeta = nan", "temperature = 1e20", "temperature = inf",
@@ -504,3 +578,23 @@ observables = negativity_dissipative
     _, value = out.read_text(encoding="utf-8").splitlines()[1].split(",")
     state = build_state(1, 0.5)
     assert 0.0 < float(value) < negativity_analytic(state)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every `ngfiber ...` line of README's "Command line" block, run in a
+    # directory holding README's sweep.cfg
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("ngfiber ")]
+    assert len(commands) == 9
+    config = re.search(r"```ini\n(# sweep\.cfg\n.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(config, encoding="utf-8")
+    for line in commands:
+        assert run_cli(*shlex.split(line)[1:]) == 0, line
+    keys = next(line for line in section.splitlines() if line.startswith("`[fixed]` keys:"))
+    assert keys.split("`")[3].split(", ") == list(_FIXED_DEFAULTS)
