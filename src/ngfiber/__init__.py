@@ -52,6 +52,7 @@ from .states import (
     ManifoldDensityMatrix,
     NonGaussianState,
     build_state,
+    build_states,
     embed,
     embed_density_matrix,
     normalization,
@@ -71,6 +72,7 @@ __all__ = [
     "PptSpectrum",
     "annihilation",
     "build_state",
+    "build_states",
     "dissipation_rate",
     "dissipation_rate_closed",
     "dissipation_rate_quadrature",

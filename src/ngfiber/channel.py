@@ -18,7 +18,7 @@ import numpy as np
 
 from .bath import BathSpec, _gibbs_levels, dissipation_rate
 from .errors import DimensionBudgetExceeded, ParameterError, ZeroFrequency
-from .states import ManifoldDensityMatrix, NonGaussianState
+from .states import _BLOCK_CELLS, ManifoldDensityMatrix, NonGaussianState
 
 # Largest n_max + 1 for which a dense manifold matrix is built.  Assembly peaks
 # at about 48 B (n_max + 1)^2, so 0.8 GB here; zeta = 0.99 needs 1947.
@@ -123,9 +123,14 @@ def fidelity(state: NonGaussianState, params: ChannelParams, bath: BathSpec) -> 
     first use); bounded by 1, reaching it whenever every relative phase
     winds by a multiple of 2 pi.
     """
+    return _fidelity(state, params, _thermal_phase_means(state.n_max, params, bath))
+
+
+def _fidelity(state: NonGaussianState, params: ChannelParams, means: np.ndarray) -> float:
+    """fidelity with the thermal means d_k of (params, bath) given."""
     b = state._pop_autocorr
     d = np.exp(-1j * (params.tau_l * params.omega_total) * np.arange(state.n_max + 1))
-    d *= _thermal_phase_means(state.n_max, params, bath)
+    d *= means
     f = float(b[0] + 2.0 * np.dot(b[1:], d[1:].real))
     return min(max(f, 0.0), 1.0)
 
@@ -166,17 +171,38 @@ def negativity_after_dephasing(
     return _negativity(state, _thermal_phase_means(state.n_max, params, bath))
 
 
-def _timing_decay(epsilon: float, gamma: float, n_max: int) -> np.ndarray:
-    """exp(-4 epsilon^2 Gamma k^2) for k = 0..n_max.
+def _decay_scale(epsilon: float, gamma: float) -> float:
+    """The prefactor 4 epsilon^2 Gamma of the timing decay exp(-4 epsilon^2 Gamma k^2).
 
-    A rate of 0 (tau_l = 0) gives exact ones even where epsilon^2 overflows,
-    and d_0 is exactly 1.  The prefactor is capped at _FULL_DECAY, past which
-    every k >= 1 decays to 0.0 all the same, so no inf * 0 and no overflow is
-    ever formed.
+    A rate of 0 (tau_l = 0) gives exactly 0 even where epsilon^2 overflows.
+    The prefactor is capped at _FULL_DECAY, past which every k >= 1 decays to
+    0.0 all the same, so no inf * 0 and no overflow is ever formed.
     """
-    scale = min(4.0 * epsilon * epsilon * gamma, _FULL_DECAY) if gamma > 0 else 0.0
+    return min(4.0 * epsilon * epsilon * gamma, _FULL_DECAY) if gamma > 0 else 0.0
+
+
+def _timing_decay(epsilon: float, gamma: float, n_max: int) -> np.ndarray:
+    """exp(-4 epsilon^2 Gamma k^2) for k = 0..n_max; d_0 is exactly 1."""
     k = np.arange(n_max + 1, dtype=float)
-    return np.exp(-(scale * k * k))
+    return np.exp(-(_decay_scale(epsilon, gamma) * k * k))
+
+
+def _timing_negativities(state: NonGaussianState, epsilon: float, gammas: list) -> list:
+    """_negativity(state, _timing_decay(epsilon, gamma, n_max)) for every rate in gammas.
+
+    The decay rows are built in 2-D blocks of at most _BLOCK_CELLS cells, and
+    each row is reduced with its own dot product against A_k: a row keeps the
+    bits of the one-rate route, which one matrix product would not.
+    """
+    k = np.arange(state.n_max + 1, dtype=float)
+    a = state._abs_autocorr[1:]
+    scales = [_decay_scale(epsilon, gamma) for gamma in gammas]
+    rows = max(1, _BLOCK_CELLS // k.size)
+    out = []
+    for start in range(0, len(scales), rows):
+        decay = np.exp(-(np.array(scales[start : start + rows])[:, None] * k * k))
+        out += [2.0 * float(np.dot(row[1:], a)) for row in decay]
+    return out
 
 
 def _dissipative_factors(n_max: int, params: ChannelParams, bath: BathSpec) -> np.ndarray:
@@ -212,12 +238,21 @@ def negativity_dissipative(
     rate), matching evolve_with_dissipation at T > 0.  At T = 0 every
     thermal visibility is 1, so only the real decay row is built.
     """
-    if bath.temperature == 0.0:
-        gamma = dissipation_rate(bath, params.tau_l)
-        return _negativity(state, _timing_decay(params.epsilon, gamma, state.n_max))
-    if not combined:
+    if bath.temperature > 0.0 and not combined:
         raise ParameterError(
             "the plain dissipative series is a T = 0 result; pass combined=True "
             "to fold in thermal visibilities"
         )
-    return _negativity(state, _dissipative_factors(state.n_max, params, bath))
+    means = _thermal_phase_means(state.n_max, params, bath) if bath.temperature > 0.0 else None
+    return _dissipative_negativity(state, params, bath, means)
+
+
+def _dissipative_negativity(
+    state: NonGaussianState, params: ChannelParams, bath: BathSpec, means: np.ndarray | None
+) -> float:
+    """negativity_dissipative(combined=True) with the thermal means of (params, bath) given.
+
+    At T = 0 the means are all 1 and are not read (means may be None).
+    """
+    decay = _timing_decay(params.epsilon, dissipation_rate(bath, params.tau_l), state.n_max)
+    return _negativity(state, decay if bath.temperature == 0.0 else decay * means)

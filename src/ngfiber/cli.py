@@ -13,6 +13,12 @@ validate take --out only: design prints its JSON report to stdout without
 it, validate always prints its check lines and writes JSON only with it.
 Every output file goes through _write (UTF-8, \\n line endings).
 
+Tables are evaluated in whole-array blocks, each row with the bits of its
+one-row library call: fig1 builds its states with one build_states call,
+fig2 its decay rows with channel._timing_negativities.  sweep evaluates its
+points in the calling thread at --jobs 1 and in a pool of --jobs threads
+otherwise.
+
 Exit codes: 0 success, 2 parameter/config validation, 3 numerical failure,
 4 validation-suite failure.  All tabular output is deterministic: rerunning
 a command with the same inputs produces byte-identical files.
@@ -31,13 +37,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import validate as validate_mod
-from .bath import BathSpec
-from .channel import ChannelParams, fidelity, negativity_after_dephasing, negativity_dissipative
+from .bath import BathSpec, dissipation_rate
+from .channel import (
+    ChannelParams,
+    _dissipative_negativity,
+    _fidelity,
+    _negativity,
+    _thermal_phase_means,
+    _timing_negativities,
+)
 from .config import RunConfig
 from .design import FiberSpec, spacing_report
 from .errors import NgFiberError, ParameterError
 from .negativity import negativity_analytic
-from .states import build_state
+from .states import build_state, build_states
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -64,8 +77,8 @@ def write_table(args, header, rows, title: str) -> None:
     if args.format == "json":
         text = _json({"columns": list(header), "rows": [[float(v) for v in row] for row in rows]})
     else:
-        lines = [",".join(header)] + [",".join(f"{float(v):.16e}" for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        line = ",".join(["%.16e"] * len(header))  # one format per row, the f"{v:.16e}" bytes
+        text = "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
     _write(args.out, text)
     if args.emit_plot_script:
         data_name = os.path.basename(args.out)
@@ -88,11 +101,9 @@ def cmd_fig1(args) -> int:
         raise ParameterError("steps must be >= 2")
     if not (0.0 < args.zeta_min <= args.zeta_max < 1.0):
         raise ParameterError("need 0 < zeta-min <= zeta-max < 1")
-    zetas = np.linspace(args.zeta_min, args.zeta_max, args.steps)
-    rows = []
-    for zeta in zetas:
-        state = build_state(args.p, float(zeta), tail_tol=args.tail_tol)
-        rows.append((zeta, negativity_analytic(state)))
+    zetas = np.linspace(args.zeta_min, args.zeta_max, args.steps).tolist()
+    states = build_states(args.p, zetas, tail_tol=args.tail_tol)
+    rows = [(zeta, negativity_analytic(state)) for zeta, state in zip(zetas, states)]
     write_table(args, ("zeta", "negativity"), rows, "negativity vs squeezing")
     return EXIT_OK
 
@@ -107,18 +118,17 @@ def cmd_fig2(args) -> int:
     state = build_state(args.p, args.zeta, tail_tol=args.tail_tol)
     bath = BathSpec(omega_phonon=args.omega_c, temperature=0.0, omega_c=args.omega_c)
     xs = np.linspace(0.0, args.x_max, args.steps)
-    # every row reduces against the state's one cached A_k
-    fluct = [
-        negativity_dissipative(
-            state,
-            ChannelParams(
-                omega_a=0.0, omega_b=0.0, gamma_plus=0.0, gamma_minus=0.0,
-                tau_l=float(x) / args.omega_c, epsilon=args.epsilon,
-            ),
-            bath,
+    taus = [x / args.omega_c for x in xs.tolist()]
+    # the refusals a ChannelParams per row would give: epsilon at row 0, then
+    # the largest tau_l (inf once x / omega_c overflows)
+    for tau_l in (taus[0], taus[-1]):
+        ChannelParams(
+            omega_a=0.0, omega_b=0.0, gamma_plus=0.0, gamma_minus=0.0,
+            tau_l=tau_l, epsilon=args.epsilon,
         )
-        for x in xs
-    ]
+    # every row reduces against the state's one cached A_k
+    gammas = [dissipation_rate(bath, tau_l) for tau_l in taus]
+    fluct = _timing_negativities(state, args.epsilon, gammas)
     # xs starts at exactly 0, so row 0 is the fluctuation-free reference
     rows = [(x, value, fluct[0]) for x, value in zip(xs, fluct)]
     header = ("x", "negativity_fluct", "negativity_no_fluct")
@@ -188,16 +198,20 @@ def _sweep_inputs(run: RunConfig, assignments: list) -> list:
 
 def _sweep_point(observables: tuple, inputs: tuple) -> list:
     state, bath, channel = inputs
+    # one thermal coherence row per point, shared by the channel observables
+    means = None
+    if any(name != "negativity" for name in observables):
+        means = _thermal_phase_means(state.n_max, channel, bath)
     values = []
     for name in observables:
         if name == "negativity":
             values.append(negativity_analytic(state))
         elif name == "negativity_dephased":
-            values.append(negativity_after_dephasing(state, channel, bath))
+            values.append(_negativity(state, means))
         elif name == "negativity_dissipative":
-            values.append(negativity_dissipative(state, channel, bath, combined=True))
+            values.append(_dissipative_negativity(state, channel, bath, means))
         else:
-            values.append(fidelity(state, channel, bath))
+            values.append(_fidelity(state, channel, means))
     return values
 
 
@@ -206,7 +220,8 @@ def cmd_sweep(args) -> int:
 
     The points' states, baths and channels are built first, in grid order in
     the calling thread, each distinct state once; the states stay alive until
-    the sweep ends.  A pool of --jobs threads then evaluates the points.
+    the sweep ends.  The points are then evaluated in the calling thread at
+    --jobs 1, and by a pool of --jobs threads otherwise.
     """
     if args.jobs < 1:
         raise ParameterError("jobs must be >= 1")
@@ -223,8 +238,12 @@ def cmd_sweep(args) -> int:
         ]
 
     inputs = _sweep_inputs(run, assignments)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(functools.partial(_sweep_point, run.observables), inputs))
+    point = functools.partial(_sweep_point, run.observables)
+    if args.jobs == 1:
+        results = list(map(point, inputs))
+    else:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(point, inputs))
 
     header = tuple(axes) + run.observables
     rows = [

@@ -7,9 +7,12 @@ superposition over the fixed-offset manifold |n, n+p>:
 
 with P^2 = sum_n term(n), term(n) = |zeta|^(2(n+p)) (n+p)!/n!.  Everything
 downstream (spectra, channels, design numbers) is built from this coefficient
-vector.  The series is one vector of log terms (_log_terms); its partial sums
-and analytic tail bounds give the truncation, P^2, the coefficients and the
-recorded tail bound alike, whether n_max is chosen by the tail rule or given.
+vector.  The series of one |zeta| is one row of log terms (_series); its
+partial sums and analytic tail bounds give the truncation, P^2, the
+coefficients and the recorded tail bound alike, whether n_max is chosen by the
+tail rule or given.  build_states truncates many zetas at once, in 2-D blocks
+of rows (_cut); build_state runs the same _cut on one row, so there is one
+truncation path and every state has the same bits from either.
 """
 
 from __future__ import annotations
@@ -32,80 +35,186 @@ from .fock import FockSpace
 
 DEFAULT_TAIL_TOL = 1e-12
 _MAX_TERMS = 1_000_000
+# Most cells (rows x terms) in one 2-D block of norm series.  It bounds the
+# memory build_states takes at once, never its results: every row is computed
+# on its own.
+_BLOCK_CELLS = 1 << 16
 
 
-def _log_terms(p: int, log_az: float, n_top: int) -> np.ndarray:
-    """log term(n) for n = 0..n_top: 2(n+p) log|zeta| + sum_{j=1..p} log(n+j).
+def _column(values: list):
+    """values as a column that broadcasts along a row of terms.
 
-    log((n+p)!/n!) is added one j at a time: no lgamma difference to cancel
-    and no n x p array.
+    One value stays a scalar, which numpy broadcasts at less cost than a 1 x 1
+    array; that keeps build_state on one row as cheap as a 1-D series.
     """
-    log_terms = np.arange(p, n_top + p + 1.0) * (2.0 * log_az)
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _series(p: int, az: list, n_top: int):
+    """(log terms, partial sums S_n, tail bounds) for n = 0..n_top, one row per |zeta| in az.
+
+    log term(n) = 2(n+p) log|zeta| + sum_{j=1..p} log(n+j), with log((n+p)!/n!)
+    added one j at a time: no lgamma difference to cancel and no n x p array.
+    For n' >= n every term ratio is below r = |zeta|^2 (1 + p/(n+1)), so when
+    r < 1 the mass beyond n is at most term(n) r / (1 - r); otherwise the bound
+    is inf.  Every value is elementwise and the partial sums run along each row
+    in index order, like a running total, so a row holds the same bits whatever
+    the other rows and n_top.
+    """
+    az2 = [a * a for a in az]
+    log_terms = np.arange(p, n_top + p + 1.0) * _column([2.0 * math.log(a) for a in az])
     for j in range(1, p + 1):
         log_terms += np.log(np.arange(j, n_top + j + 1.0))
-    return log_terms
-
-
-def _series(p: int, az: float, n_top: int):
-    """(log terms, partial sums S_n, tail bounds) of the norm series, n = 0..n_top.
-
-    For n' >= n every term ratio is below r = |zeta|^2 (1 + p/(n+1)), so when
-    r < 1 the mass beyond n is at most term(n) r / (1 - r); otherwise the
-    bound is inf.  The partial sums run in index order, like a running total.
-    """
-    log_terms = _log_terms(p, math.log(az), n_top)
-    r = az * az * (1.0 + p / np.arange(1.0, n_top + 2))
+    r = _column(az2) * (1.0 + p / np.arange(1.0, n_top + 2))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         terms = np.exp(log_terms)
-        tails = np.where(r < 1.0, terms * r / (1.0 - r), math.inf)
-        return log_terms, terms.cumsum(), tails
+        tails = terms * r / (1.0 - r)
+        sums = terms.cumsum(axis=-1)
+    if max(az2) * (1.0 + p) >= 1.0:  # r falls with n: r_0 is each row's largest
+        tails[r >= 1.0] = math.inf
+    shape = (len(az), n_top + 1)
+    return log_terms.reshape(shape), sums.reshape(shape), tails.reshape(shape)
 
 
-def _truncate(p: int, az: float, tail_tol: float):
-    """The norm series through its truncation index: (log terms, S_n, tails, n_max).
+def _first_length(p: int, az: float, log_tol: float) -> int:
+    """n_top of a row's first vector.
 
-    n_max is the smallest n whose tail bound is below tail_tol relative to the
-    partial sum (and absolutely, whichever is stricter).  The first vector is
-    sized from where |zeta|^(2n) n^p / (1 - |zeta|^2) reaches tail_tol, with a
-    25% margin (the estimate falls short by up to ~13%), and doubled up to
-    _MAX_TERMS while no n passes.  A vector whose last tail bound is 0 with no
-    n passing has a test threshold that underflows (P^2 is 0 or subnormal, as
-    at p = 1, |zeta| = 1e-170) and no later term to lift it: that is refused at
-    once, not blamed on |zeta| -> 1.
+    Sized from where |zeta|^(2n) n^p / (1 - |zeta|^2) reaches tail_tol, with a
+    25% margin (the estimate falls short by up to ~13%).
     """
-    log_tol, log_az2 = math.log(tail_tol), 2.0 * math.log(az)
+    log_az2 = 2.0 * math.log(az)
     n0 = max(log_tol / log_az2, 0.0)  # |zeta|^(2 n0) = tail_tol
     guess = (log_tol + math.log1p(-az * az) - p * math.log1p(n0)) / log_az2
-    n_top = int(min(1.25 * max(guess, 0.0) + 8, _MAX_TERMS))
-    while True:
-        log_terms, sums, tails = _series(p, az, n_top)
-        passed = tails < tail_tol * np.minimum(1.0, sums)
-        n_max = int(passed.argmax())
-        if passed[n_max]:
-            return log_terms, sums, tails, n_max
-        if tails[-1] == 0.0:
-            raise ParameterError(
-                f"norm series underflows at p = {p}, |zeta| = {az}: P^2 = {sums[-1]:.3g} "
-                f"(largest log term {log_terms.max():.1f})"
+    return int(min(1.25 * max(guess, 0.0) + 8, _MAX_TERMS))
+
+
+def _runs(order: list, lengths: list):
+    """Consecutive runs of order (rows by ascending length) of at most _BLOCK_CELLS cells.
+
+    A run is as wide as its last, longest row; a row wider than the cap runs alone.
+    """
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and lengths[order[stop]] < _BLOCK_CELLS // (stop + 1 - start):
+            stop += 1
+        yield order[start:stop]
+        start = stop
+
+
+def _truncate(p: int, zetas: list, tail_tol: float) -> list:
+    """The truncated state of every zeta, or the ParameterError build_state raises for it.
+
+    The rows are sorted by the length of their first vector and evaluated by
+    _cut in the runs of _runs.  A row with no n passing in its vector doubles
+    the vector, up to _MAX_TERMS, and goes into a later run.
+    """
+    az = [abs(zeta) for zeta in zetas]
+    log_tol = math.log(tail_tol)
+    lengths = [_first_length(p, a, log_tol) for a in az]
+    out = [None] * len(zetas)
+    pending = sorted(range(len(zetas)), key=lengths.__getitem__)
+    while pending:
+        retry = []  # doubling every length keeps the ascending order
+        for rows in _runs(pending, lengths):
+            cut = _cut(p, [zetas[i] for i in rows], [az[i] for i in rows],
+                       [lengths[i] for i in rows], tail_tol)
+            for row, item in zip(rows, cut):
+                if item is None:
+                    lengths[row] = min(2 * lengths[row], _MAX_TERMS)
+                    retry.append(row)
+                else:
+                    out[row] = item
+        pending = retry
+    return out
+
+
+def _cut(p: int, zetas: list, az: list, lengths: list, tail_tol: float) -> list:
+    """Truncate a run of rows of ascending lengths: per row a state, an error, or None.
+
+    n_max is the smallest n whose tail bound is below tail_tol relative to the
+    partial sum (and absolutely, whichever is stricter).  Each row reads only
+    its own vector of lengths[i] + 1 terms, so no row's result depends on its
+    run.  None asks for a longer vector.  A vector whose last tail bound is 0
+    with no n passing has a test threshold that underflows (P^2 is 0 or
+    subnormal, as at p = 1, |zeta| = 1e-170) and no later term to lift it:
+    that is refused at once, not blamed on |zeta| -> 1.
+    """
+    top = lengths[-1]
+    log_terms, sums, tails = _series(p, az, top)
+    passed = tails < tail_tol * np.minimum(1.0, sums)
+    if lengths[0] < top:
+        passed &= np.arange(top + 1) <= np.array(lengths)[:, None]
+    cuts, errors = [], {}
+    for i, n in enumerate(passed.argmax(axis=1).tolist()):
+        if passed[i, n]:
+            cuts.append((n, float(sums[i, n]), float(tails[i, n])))
+            continue
+        cuts.append(None)
+        own = lengths[i]
+        if tails[i, own] == 0.0:
+            errors[i] = ParameterError(
+                f"norm series underflows at p = {p}, |zeta| = {az[i]}: P^2 = {sums[i, own]:.3g} "
+                f"(largest log term {log_terms[i, : own + 1].max():.1f})"
             )
-        if n_top == _MAX_TERMS:
-            raise ParameterError(
+        elif own == _MAX_TERMS:
+            errors[i] = ParameterError(
                 f"norm series did not converge within {_MAX_TERMS} terms (|zeta| too close to 1?)"
             )
-        n_top = min(2 * n_top, _MAX_TERMS)
+    built = _states(p, zetas, log_terms, cuts)
+    return [errors.get(i, state) for i, state in enumerate(built)]
 
 
-def _validate_zeta(p: int, zeta: complex) -> float:
+def _states(p: int, zetas: list, log_terms: np.ndarray, cuts: list) -> list:
+    """The state of each row of log terms, cut where cuts gives (n_max, P^2, tail bound).
+
+    c_n = exp((log term(n) - log P^2) / 2) e^(i theta (n+p)), computed for the
+    whole block.  A row whose cut is None gives None; a row whose P^2 is not a
+    positive finite double (p = 150 at zeta = 0.9 overflows) gives its
+    ParameterError instead of a state.
+    """
+    # log P^2 = inf sends a row without a state to zeros, never to an overflow
+    log_p2 = [math.log(cut[1]) if cut and 0.0 < cut[1] < math.inf else math.inf for cut in cuts]
+    coeffs = np.exp(0.5 * (log_terms - _column(log_p2)))
+    thetas = [cmath.phase(complex(zeta)) for zeta in zetas]
+    if any(thetas):  # exp(0j) is exactly 1: real zetas need no phase
+        ns = np.arange(p, log_terms.shape[1] + p)
+        coeffs = coeffs * np.exp(_column([1j * theta for theta in thetas]) * ns)
+    out = []
+    for i, (zeta, cut) in enumerate(zip(zetas, cuts)):
+        if cut is None:
+            out.append(None)
+        elif log_p2[i] == math.inf:
+            out.append(ParameterError(
+                f"norm series leaves double precision at p = {p}, |zeta| = {abs(zeta)}: "
+                f"P^2 = {cut[1]}"
+            ))
+        else:
+            # the recorded tail bound: analytic bound on the mass left beyond n_max
+            n, p2, tail = cut
+            coeff = coeffs[i, : n + 1].astype(complex)
+            out.append(NonGaussianState(p, complex(zeta), n, coeff, p2, tail / p2))
+    return out
+
+
+def _validate(p, tail_tol) -> int:
     if not (p >= 0 and math.isfinite(p) and int(p) == p):
         raise ParameterError(f"p must be a non-negative integer, got {p}")
+    if not 0.0 < tail_tol < 1.0:
+        raise ParameterError(f"tail_tol must be in (0, 1), got {tail_tol}")
+    return int(p)
+
+
+def _refusal(p: int, zeta: complex) -> ParameterError | None:
+    """The error build_state raises for zeta at a valid p and tail_tol, or None."""
     az = abs(zeta)
     if math.isnan(az):
-        raise ParameterError(f"zeta must be a number, got {zeta}")
+        return ParameterError(f"zeta must be a number, got {zeta}")
     if az >= 1.0:
-        raise DivergentState(f"|zeta| = {az} >= 1: the state norm diverges")
+        return DivergentState(f"|zeta| = {az} >= 1: the state norm diverges")
     if az == 0.0 and p > 0:
-        raise DegenerateState("zeta = 0 with p > 0 gives a zero-norm state")
-    return az
+        return DegenerateState("zeta = 0 with p > 0 gives a zero-norm state")
+    return None
 
 
 def normalization(p: int, zeta: complex, tail_tol: float = DEFAULT_TAIL_TOL):
@@ -158,6 +267,34 @@ class NonGaussianState:
         return ManifoldDensityMatrix(self.p, self.n_max, rho)
 
 
+def _vacuum(zeta) -> NonGaussianState:
+    return NonGaussianState(0, zeta, 0, np.array([1.0 + 0.0j]), 1.0, 0.0)
+
+
+def build_states(p: int, zetas, tail_tol: float = DEFAULT_TAIL_TOL) -> list:
+    """[build_state(p, zeta, tail_tol) for zeta in zetas], bit for bit.
+
+    The norm series of all the zetas are truncated together, in 2-D blocks of
+    at most _BLOCK_CELLS cells (rows sorted by the length of their first
+    vector, each block as long as its longest row), and each block's
+    coefficients are computed at once.  Raises what build_state raises for the
+    first zeta it refuses; p and tail_tol are checked before any zeta.
+    """
+    zetas = list(zetas)
+    p = _validate(p, tail_tol)
+    out = [_refusal(p, zeta) for zeta in zetas]
+    for i, zeta in enumerate(zetas):
+        if out[i] is None and abs(zeta) == 0.0:
+            out[i] = _vacuum(zeta)
+    rows = [i for i, item in enumerate(out) if item is None]
+    for i, item in zip(rows, _truncate(p, [zetas[i] for i in rows], tail_tol)):
+        out[i] = item
+    for item in out:
+        if isinstance(item, Exception):
+            raise item
+    return out
+
+
 def build_state(
     p: int,
     zeta: complex,
@@ -167,39 +304,35 @@ def build_state(
     """Construct the normalized state.
 
     With the default arguments the truncation index is chosen so the
-    neglected tail mass is below tail_tol.  Passing n_max forces an explicit
-    truncation instead (useful when a downstream dense computation must stay
-    small); the achieved tail bound is recorded either way.  Coefficients are
-    renormalized over the kept range, so sum |c_n|^2 = 1 exactly.  A kept
-    series whose P^2 is not a positive finite double (p = 150 at zeta = 0.9
-    overflows) raises ParameterError.
+    neglected tail mass is below tail_tol, which must lie in (0, 1); the
+    state is build_states(p, [zeta], tail_tol)[0], from the same _cut on a
+    run of one row.  Passing n_max forces an explicit truncation instead (useful
+    when a downstream dense computation must stay small); the achieved tail
+    bound is recorded either way.  Coefficients are renormalized over the
+    kept range, so sum |c_n|^2 = 1 exactly.  A kept series whose P^2 is not a
+    positive finite double (p = 150 at zeta = 0.9 overflows) raises
+    ParameterError.
     """
-    az = _validate_zeta(p, zeta)
-    if not tail_tol > 0:
-        raise ParameterError(f"tail_tol must be positive, got {tail_tol}")
-    if az == 0.0:
-        return NonGaussianState(0, zeta, 0, np.array([1.0 + 0.0j]), 1.0, 0.0)
-
-    p = int(p)
-    if n_max is None:
-        log_terms, sums, tails, n_max = _truncate(p, az, tail_tol)
+    p = _validate(p, tail_tol)
+    error = _refusal(p, zeta)
+    if error is not None:
+        raise error
+    if abs(zeta) == 0.0:
+        return _vacuum(zeta)
+    if n_max is None:  # _truncate on one row, without its sorting and runs
+        az = abs(zeta)
+        length = _first_length(p, az, math.log(tail_tol))
+        while (state := _cut(p, [zeta], [az], [length], tail_tol)[0]) is None:
+            length = min(2 * length, _MAX_TERMS)
+    elif n_max < 0:
+        raise ParameterError("n_max must be >= 0")
     else:
-        if n_max < 0:
-            raise ParameterError("n_max must be >= 0")
-        log_terms, sums, tails = _series(p, az, n_max)
-    p2 = float(sums[n_max])
-    if not 0.0 < p2 < math.inf:
-        raise ParameterError(
-            f"norm series leaves double precision at p = {p}, |zeta| = {az}: P^2 = {p2}"
-        )
-
-    ns = np.arange(n_max + 1)
-    mags = np.exp(0.5 * (log_terms[: n_max + 1] - math.log(p2)))
-    theta = cmath.phase(complex(zeta))
-    coeffs = mags * np.exp(1j * theta * (ns + p))
-    # analytic bound on the mass left beyond the kept range
-    tail_bound = float(tails[n_max]) / p2
-    return NonGaussianState(p, complex(zeta), int(n_max), coeffs, p2, tail_bound)
+        log_terms, sums, tails = _series(p, [abs(zeta)], n_max)
+        cut = (int(n_max), float(sums[0, n_max]), float(tails[0, n_max]))
+        [state] = _states(p, [zeta], log_terms, [cut])
+    if isinstance(state, Exception):
+        raise state
+    return state
 
 
 @dataclass

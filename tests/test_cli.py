@@ -15,9 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngfiber import cli
+from ngfiber import cli, states
 from ngfiber.bath import BathSpec
-from ngfiber.channel import ChannelParams, _dissipative_factors, _negativity
+from ngfiber.channel import (
+    ChannelParams,
+    _dissipative_factors,
+    _negativity,
+    negativity_dissipative,
+)
 from ngfiber.config import _FIXED_DEFAULTS
 from ngfiber.design import silica_preset
 from ngfiber.errors import TruncationTooSmall
@@ -124,6 +129,7 @@ def test_plot_script_with_json_is_refused_up_front(tmp_path, monkeypatch, capsys
         raise TruncationTooSmall("a state was built")
 
     monkeypatch.setattr(cli, "build_state", explode)
+    monkeypatch.setattr(cli, "build_states", explode)
     code = run_cli(*argv, "--out", "t.json", "--format", "json", "--emit-plot-script")
     assert code == 2  # refused before any state build, which would exit 3
     assert "--emit-plot-script needs --format csv" in capsys.readouterr().err
@@ -248,6 +254,53 @@ def test_fig2_rows_are_bit_equal_to_the_general_route(p, zeta, epsilon, x_max, s
     assert [line.split(",")[1] for line in lines] == [f"{v:.16e}" for v in values]
 
 
+def csv_rows(path) -> list:
+    return [[float(v) for v in line.split(",")]
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def test_fig1_rows_spanning_several_blocks_equal_library_calls(tmp_path, monkeypatch):
+    # up to zeta = 0.999 the 300 norm series fill several _BLOCK_CELLS blocks
+    blocks = []
+    series = states._series
+
+    def counting_series(p, az, n_top):
+        blocks.append((len(az), n_top))
+        return series(p, az, n_top)
+
+    monkeypatch.setattr(states, "_series", counting_series)
+    out = tmp_path / "fig1.csv"
+    argv = ["--p", "2", "--zeta-min", "0.3", "--zeta-max", "0.999", "--steps", "300"]
+    assert run_cli("fig1", *argv, "--out", str(out)) == 0
+    assert len(blocks) > 1 and max(rows for rows, _ in blocks) > 1
+    assert sum(rows * (n_top + 1) for rows, n_top in blocks) > states._BLOCK_CELLS
+    monkeypatch.undo()
+    rows = csv_rows(out)
+    zetas = np.linspace(0.3, 0.999, 300)
+    assert [row[0] for row in rows] == zetas.tolist()
+    assert [row[1] for row in rows] == [
+        negativity_analytic(build_state(2, float(zeta))) for zeta in zetas
+    ]
+
+
+def test_fig2_rows_spanning_several_blocks_equal_library_calls(tmp_path):
+    # n_max = 1946 at zeta = 0.99: 33 decay rows fill one block, 100 rows need four
+    out = tmp_path / "fig2.csv"
+    argv = ["--zeta", "0.99", "--x-max", "300", "--steps", "100", "--epsilon", "1e-11"]
+    assert run_cli("fig2", *argv, "--out", str(out)) == 0
+    state = build_state(1, 0.99)
+    assert 100 > 3 * (states._BLOCK_CELLS // (state.n_max + 1))
+    omega_c = 2.62e10
+    bath = BathSpec(omega_phonon=omega_c, temperature=0.0, omega_c=omega_c)
+    want = [
+        negativity_dissipative(state, ChannelParams(0.0, 0.0, 0.0, 0.0, x / omega_c, 1e-11), bath)
+        for x in np.linspace(0.0, 300.0, 100).tolist()
+    ]
+    rows = csv_rows(out)
+    assert [row[1] for row in rows] == want
+    assert {row[2] for row in rows} == {want[0]}
+
+
 def test_design_report(tmp_path, capsys):
     assert run_cli("design") == 0
     report = json.loads(capsys.readouterr().out)
@@ -351,7 +404,8 @@ def test_numerical_failures_exit_three(monkeypatch, tmp_path):
     def explode(*args, **kwargs):
         raise TruncationTooSmall("synthetic numerical failure")
 
-    monkeypatch.setattr(cli, "build_state", explode)
+    # fig1 builds its states in one build_states call
+    monkeypatch.setattr(cli, "build_states", explode)
     assert run_cli("fig1", "--out", str(tmp_path / "x.csv")) == 3
 
 
@@ -434,6 +488,23 @@ def test_sweep_jobs_do_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sweep_jobs_one_runs_in_the_calling_thread(tmp_path, monkeypatch):
+    cfg = sweep_config(
+        tmp_path,
+        "[fixed]\ngamma_plus = 3e8\nepsilon = 4e-12\n"
+        "[grid]\nzeta = 0.2, 0.6\ntemperature = 0, 0.5\n",
+    )
+    pooled, inline = tmp_path / "pooled.csv", tmp_path / "inline.csv"
+    assert run_cli("sweep", "--config", cfg, "--out", str(pooled), "--jobs", "3") == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--jobs 1 started a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    assert run_cli("sweep", "--config", cfg, "--out", str(inline), "--jobs", "1") == 0
+    assert read_bytes(inline) == read_bytes(pooled)
+
+
 def test_sweep_builds_each_distinct_state_once(tmp_path, monkeypatch):
     cfg = sweep_config(
         tmp_path,
@@ -508,7 +579,8 @@ def test_sweep_refuses_the_difference_coupling_key(tmp_path, capsys):
 @pytest.mark.parametrize(
     "grid",
     ["p = 1.5", "p = nan", "zeta = nan", "temperature = 1e20", "temperature = inf",
-     "tau_l = nan", "epsilon = nan", "zeta = 0.4\n[fixed]\nomega_a = nan"],
+     "tau_l = nan", "epsilon = nan", "zeta = 0.4\n[fixed]\nomega_a = nan",
+     "zeta = 0.4\n[fixed]\ntail_tol = 1", "zeta = 0.4\n[fixed]\ntail_tol = 0"],
 )
 def test_sweep_refuses_invalid_points(tmp_path, grid):
     # a fractional p is refused, not truncated; at 1e20 K the Boltzmann ratio
@@ -521,6 +593,9 @@ def test_sweep_refuses_invalid_points(tmp_path, grid):
     "argv",
     [["fig1", "--p", "150", "--zeta-min", "0.9", "--zeta-max", "0.9", "--steps", "2"],
      ["fig1", "--tail-tol", "nan", "--steps", "2"],
+     ["fig1", "--tail-tol", "inf", "--steps", "2"],
+     ["fig1", "--tail-tol", "1", "--steps", "2"],
+     ["fig2", "--tail-tol", "inf", "--steps", "2"],
      ["fig2", "--zeta", "nan", "--steps", "2"],
      ["design", "--length", "nan"],
      ["design", "--length", "inf"],
@@ -537,6 +612,18 @@ def test_unrepresentable_states_exit_two(tmp_path, capsys, argv):
     # spacing leaves inf segments; at a 1e-17 budget 1 - delta rounds to 1
     assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
     assert "parameter error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "1", "2.5", "0", "-1e-12"])
+def test_tail_tol_outside_zero_one_is_refused(tmp_path, capsys, value):
+    # tail_tol = inf used to keep n_max = 1 at zeta = 0.85 and print 1.97
+    # instead of about 15
+    out = tmp_path / "x.csv"
+    assert run_cli("fig1", f"--tail-tol={value}", "--out", str(out)) == 2
+    assert f"parameter error: tail_tol must be in (0, 1), got {float(value)}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_astronomical_links_report_the_plateau(tmp_path):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss, hermval
 from numpy.testing import assert_allclose
 
+from ngfiber import states
 from ngfiber.errors import (
     DegenerateState,
     DivergentState,
@@ -23,6 +25,7 @@ from ngfiber.states import (
     ManifoldDensityMatrix,
     NonGaussianState,
     build_state,
+    build_states,
     embed,
     embed_density_matrix,
     normalization,
@@ -113,9 +116,9 @@ def lgamma_scan(p: int, zeta: complex, tail_tol: float):
     return n, coeffs, term * r / (1.0 - r) / total
 
 
-def assert_matches_lgamma_scan(p, zeta, tail_tol):
+def assert_matches_lgamma_scan(p, zeta, tail_tol, state=None):
     n_max, coeffs, tail_bound = lgamma_scan(p, zeta, tail_tol)
-    state = build_state(p, zeta, tail_tol)
+    state = build_state(p, zeta, tail_tol) if state is None else state
     assert state.n_max == n_max
     assert_allclose(state.coeffs, coeffs, rtol=0, atol=1e-12)
     assert_allclose(state.tail_bound, tail_bound, rtol=1e-9)
@@ -135,6 +138,87 @@ def test_series_matches_lgamma_scan(p, az, theta, log_tol):
 @pytest.mark.parametrize("p, zeta, tail_tol", [(0, 0.9999, 1e-12), (2, -0.9999j, 1e-6)])
 def test_series_matches_lgamma_scan_near_unit_squeezing(p, zeta, tail_tol):
     assert_matches_lgamma_scan(p, zeta, tail_tol)
+
+
+def assert_same_state(got: NonGaussianState, want: NonGaussianState):
+    assert (got.p, got.zeta, got.n_max) == (want.p, want.zeta, want.n_max)
+    assert got.coeffs.dtype == want.coeffs.dtype
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert (got.norm_p2, got.tail_bound) == (want.norm_p2, want.tail_bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.lists(
+        st.tuples(st.floats(min_value=1e-3, max_value=0.999),
+                  st.sampled_from([0.0, math.pi, 0.7, -2.1])),
+        min_size=1, max_size=12,
+    ),
+    st.floats(min_value=-15.0, max_value=-4.0),
+    st.sampled_from([16, 300, 1 << 16]),
+)
+def test_build_states_is_build_state_bit_for_bit(p, draws, log_tol, cells):
+    # duplicates and an unsorted order on purpose; a small cell cap splits even
+    # short vectors into several blocks, the real one keeps most in one
+    zetas = [az * cmath.exp(1j * theta) if theta else az for az, theta in draws]
+    zetas = zetas + zetas[::-2]
+    tail_tol = 10.0**log_tol
+    blocks = []
+    series = states._series
+
+    def counting_series(p, az, n_top):
+        blocks.append(len(az))
+        return series(p, az, n_top)
+
+    with mock.patch.object(states, "_BLOCK_CELLS", cells), \
+            mock.patch.object(states, "_series", counting_series):
+        got = build_states(p, zetas, tail_tol)
+    if cells == 16:
+        assert len(blocks) >= len(zetas)  # every vector is wider than 16 cells
+    assert sum(blocks) >= len(zetas)
+    for zeta, state in zip(zetas, got):
+        assert_same_state(state, build_state(p, zeta, tail_tol))
+    for zeta, state in list(zip(zetas, got))[:4]:
+        assert_matches_lgamma_scan(p, zeta, tail_tol, state)
+
+
+def test_build_states_spans_several_blocks_at_the_real_cap():
+    # near |zeta| = 1 a few vectors fill more than _BLOCK_CELLS cells
+    zetas = np.linspace(0.99, 0.999, 40).tolist()
+    got = build_states(1, zetas)
+    assert sum(state.n_max + 1 for state in got) > 2 * states._BLOCK_CELLS
+    for zeta, state in zip(zetas, got):
+        assert_same_state(state, build_state(1, zeta))
+
+
+def test_build_states_zero_squeezing_is_the_vacuum():
+    got = build_states(0, [0.3, 0.0, 0j, -0.0])
+    for zeta, state in zip([0.0, 0j, -0.0], got[1:]):
+        assert state.n_max == 0 and state.zeta == zeta
+        assert_same_state(state, build_state(0, zeta))
+        assert_allclose(state.coeffs, [1.0], rtol=0, atol=0)
+    assert_same_state(got[0], build_state(0, 0.3))
+    assert build_states(2, []) == []
+
+
+@pytest.mark.parametrize(
+    "p, bad",
+    [(1, 1e-170), (1, 0.99999), (1, math.nan), (150, 0.9), (1, 1.5), (2, 0.0)],
+)
+def test_build_states_raises_what_build_state_raises(p, bad):
+    with pytest.raises(Exception) as want:
+        build_state(p, bad)
+    for zetas in ([bad], [0.3, bad, 0.5], [0.6, 0.2, 0.4, bad]):
+        with pytest.raises(type(want.value)) as got:
+            build_states(p, zetas)
+        assert str(got.value) == str(want.value)
+    # the first refused zeta in order decides, as a loop over build_state
+    # would, though NaN is caught before any series is summed
+    with pytest.raises(ParameterError, match="^norm series underflows"):
+        build_states(1, [0.3, 1e-170, math.nan])
+    with pytest.raises(ParameterError, match="^zeta must be a number"):
+        build_states(1, [0.3, math.nan, 1e-170])
 
 
 def test_series_refuses_beyond_max_terms():
@@ -167,14 +251,18 @@ def test_series_overflow_is_refused():
 @pytest.mark.parametrize(
     "name, p, zeta, tail_tol",
     [("p", math.nan, 0.5, 1e-12), ("p", math.inf, 0.5, 1e-12), ("zeta", 1, math.nan, 1e-12),
-     ("zeta", 1, complex(0.3, math.nan), 1e-12), ("tail_tol", 1, 0.5, math.nan)],
+     ("zeta", 1, complex(0.3, math.nan), 1e-12), ("tail_tol", 1, 0.5, math.nan),
+     ("tail_tol", 1, 0.5, math.inf), ("tail_tol", 1, 0.5, 1.0)],
 )
 def test_nan_inputs_are_refused(name, p, zeta, tail_tol):
-    # refused up front, naming the input, instead of scanning _MAX_TERMS terms
+    # refused up front, naming the input, instead of scanning _MAX_TERMS terms;
+    # a tail_tol of 1 or more would keep a state of n_max 1 at zeta = 0.85
     with pytest.raises(ParameterError, match=f"^{name} must"):
         build_state(p, zeta, tail_tol)
     with pytest.raises(ParameterError, match=f"^{name} must"):
         normalization(p, zeta, tail_tol)
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        build_states(p, [0.4, zeta], tail_tol)
 
 
 def test_tail_bound_is_recorded_and_small():
