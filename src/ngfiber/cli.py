@@ -14,8 +14,8 @@ it, validate always prints its check lines and writes JSON only with it.
 Every output file goes through _write (UTF-8, \\n line endings).
 
 Tables are evaluated in whole-array blocks, each row with the bits of its
-one-row library call: fig1 builds its states with one build_states call,
-fig2 its decay rows with channel._timing_negativities.  sweep evaluates its
+one-row library call: fig1 builds its states with build_states, a chunk of
+rows at a time, fig2 its decay rows with channel._timing_negativities.  sweep evaluates its
 points in the calling thread at --jobs 1 and in a pool of --jobs threads
 otherwise.
 
@@ -56,6 +56,9 @@ EXIT_OK = 0
 EXIT_PARAMETER = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
+# fig1 builds its states this many rows at a time, so that one chunk of states
+# (about 1 kB each plus 16 B per coefficient), not the whole table, is alive
+_FIG1_CHUNK = 1024
 
 
 def _write(path: str, text: str) -> None:
@@ -102,8 +105,11 @@ def cmd_fig1(args) -> int:
     if not (0.0 < args.zeta_min <= args.zeta_max < 1.0):
         raise ParameterError("need 0 < zeta-min <= zeta-max < 1")
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.steps).tolist()
-    states = build_states(args.p, zetas, tail_tol=args.tail_tol)
-    rows = [(zeta, negativity_analytic(state)) for zeta, state in zip(zetas, states)]
+    rows = []
+    for start in range(0, len(zetas), _FIG1_CHUNK):
+        chunk = zetas[start : start + _FIG1_CHUNK]
+        states = build_states(args.p, chunk, tail_tol=args.tail_tol)
+        rows += [(zeta, negativity_analytic(state)) for zeta, state in zip(chunk, states)]
     write_table(args, ("zeta", "negativity"), rows, "negativity vs squeezing")
     return EXIT_OK
 

@@ -275,6 +275,11 @@ def test_fig1_rows_spanning_several_blocks_equal_library_calls(tmp_path, monkeyp
     assert len(blocks) > 1 and max(rows for rows, _ in blocks) > 1
     assert sum(rows * (n_top + 1) for rows, n_top in blocks) > states._BLOCK_CELLS
     monkeypatch.undo()
+    # fig1 hands build_states a chunk of rows at a time; the chunks leave the bytes
+    chunked = tmp_path / "chunked.csv"
+    monkeypatch.setattr(cli, "_FIG1_CHUNK", 37)
+    assert run_cli("fig1", *argv, "--out", str(chunked)) == 0
+    assert read_bytes(chunked) == read_bytes(out)
     rows = csv_rows(out)
     zetas = np.linspace(0.3, 0.999, 300)
     assert [row[0] for row in rows] == zetas.tolist()
