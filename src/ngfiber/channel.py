@@ -236,23 +236,23 @@ def negativity_dissipative(
     bath.temperature == 0.  With combined=True the thermal visibility factors
     are multiplied in as well (and Gamma becomes the finite-temperature
     rate), matching evolve_with_dissipation at T > 0.  At T = 0 every
-    thermal visibility is 1, so only the real decay row is built.
+    thermal visibility is 1, so the real decay row is reduced alone.
     """
     if bath.temperature > 0.0 and not combined:
         raise ParameterError(
             "the plain dissipative series is a T = 0 result; pass combined=True "
             "to fold in thermal visibilities"
         )
-    means = _thermal_phase_means(state.n_max, params, bath) if bath.temperature > 0.0 else None
+    means = _thermal_phase_means(state.n_max, params, bath)
     return _dissipative_negativity(state, params, bath, means)
 
 
 def _dissipative_negativity(
-    state: NonGaussianState, params: ChannelParams, bath: BathSpec, means: np.ndarray | None
+    state: NonGaussianState, params: ChannelParams, bath: BathSpec, means: np.ndarray
 ) -> float:
     """negativity_dissipative(combined=True) with the thermal means of (params, bath) given.
 
-    At T = 0 the means are all 1 and are not read (means may be None).
+    At T = 0 the means are all 1 and are not multiplied in.
     """
     decay = _timing_decay(params.epsilon, dissipation_rate(bath, params.tau_l), state.n_max)
     return _negativity(state, decay if bath.temperature == 0.0 else decay * means)

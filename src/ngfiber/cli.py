@@ -15,9 +15,9 @@ Every output file goes through _write (UTF-8, \\n line endings).
 
 Tables are evaluated in whole-array blocks, each row with the bits of its
 one-row library call: fig1 builds its states with build_states, a chunk of
-rows at a time, fig2 its decay rows with channel._timing_negativities.  sweep evaluates its
-points in the calling thread at --jobs 1 and in a pool of --jobs threads
-otherwise.
+rows at a time, and fig2 its decay rows with channel._timing_negativities.
+sweep evaluates its points in the calling thread at --jobs 1 and in a pool
+of --jobs threads otherwise.
 
 Exit codes: 0 success, 2 parameter/config validation, 3 numerical failure,
 4 validation-suite failure.  All tabular output is deterministic: rerunning
