@@ -72,8 +72,9 @@ def _series(p: int, az: list, n_top: int):
         sums = terms.cumsum(axis=-1)
     if max(az2) * (1.0 + p) >= 1.0:  # r falls with n: r_0 is each row's largest
         tails[r >= 1.0] = math.inf
-    shape = (len(az), n_top + 1)
-    return log_terms.reshape(shape), sums.reshape(shape), tails.reshape(shape)
+    if log_terms.ndim == 1:
+        return log_terms[None], sums[None], tails[None]
+    return log_terms, sums, tails
 
 
 def _first_length(p: int, az: float, log_tol: float) -> int:
@@ -162,38 +163,42 @@ def _cut(p: int, zetas: list, az: list, lengths: list, tail_tol: float) -> list:
                 f"norm series did not converge within {_MAX_TERMS} terms (|zeta| too close to 1?)"
             )
     built = _states(p, zetas, log_terms, cuts)
-    return [errors.get(i, state) for i, state in enumerate(built)]
+    for i, error in errors.items():
+        built[i] = error
+    return built
 
 
 def _states(p: int, zetas: list, log_terms: np.ndarray, cuts: list) -> list:
     """The state of each row of log terms, cut where cuts gives (n_max, P^2, tail bound).
 
-    c_n = exp((log term(n) - log P^2) / 2) e^(i theta (n+p)), computed for the
-    whole block.  A row whose cut is None gives None; a row whose P^2 is not a
-    positive finite double (p = 150 at zeta = 0.9 overflows) gives its
-    ParameterError instead of a state.
+    |c_n| = exp((log term(n) - log P^2) / 2) is computed for the whole block,
+    the phase e^(i theta (n+p)) row by row over the kept terms.  A row whose
+    cut is None gives None; a row whose P^2 is not a positive finite double
+    (p = 150 at zeta = 0.9 overflows) gives its ParameterError instead of a
+    state.
     """
     # log P^2 = inf sends a row without a state to zeros, never to an overflow
     log_p2 = [math.log(cut[1]) if cut and 0.0 < cut[1] < math.inf else math.inf for cut in cuts]
-    coeffs = np.exp(0.5 * (log_terms - _column(log_p2)))
-    thetas = [cmath.phase(complex(zeta)) for zeta in zetas]
-    if any(thetas):  # exp(0j) is exactly 1: real zetas need no phase
-        ns = np.arange(p, log_terms.shape[1] + p)
-        coeffs = coeffs * np.exp(_column([1j * theta for theta in thetas]) * ns)
+    mags = np.exp(0.5 * (log_terms - _column(log_p2)))
     out = []
     for i, (zeta, cut) in enumerate(zip(zetas, cuts)):
         if cut is None:
             out.append(None)
-        elif log_p2[i] == math.inf:
+            continue
+        n, p2, tail = cut
+        if log_p2[i] == math.inf:
             out.append(ParameterError(
                 f"norm series leaves double precision at p = {p}, |zeta| = {abs(zeta)}: "
-                f"P^2 = {cut[1]}"
+                f"P^2 = {p2}"
             ))
-        else:
-            # the recorded tail bound: analytic bound on the mass left beyond n_max
-            n, p2, tail = cut
-            coeff = coeffs[i, : n + 1].astype(complex)
-            out.append(NonGaussianState(p, complex(zeta), n, coeff, p2, tail / p2))
+            continue
+        theta = cmath.phase(complex(zeta))
+        if theta:
+            coeffs = mags[i, : n + 1] * np.exp(1j * theta * (np.arange(n + 1) + p))
+        else:  # exp(0j) is exactly 1
+            coeffs = mags[i, : n + 1].astype(complex)
+        # the recorded tail bound: analytic bound on the mass left beyond n_max
+        out.append(NonGaussianState(p, complex(zeta), n, coeffs, p2, tail / p2))
     return out
 
 
