@@ -29,6 +29,7 @@ from .channel import (
     negativity_after_dephasing,
     negativity_dissipative,
     recovery_times,
+    timing_negativities,
     visibility_unity_time,
 )
 from .design import FiberSpec, max_spacing, segment_time, silica_preset, transit_time
@@ -98,6 +99,7 @@ __all__ = [
     "recovery_times",
     "segment_time",
     "silica_preset",
+    "timing_negativities",
     "transit_time",
     "visibility_closed",
     "visibility_direct",

@@ -13,11 +13,13 @@ validate take --out only: design prints its JSON report to stdout without
 it, validate always prints its check lines and writes JSON only with it.
 Every output file goes through _write (UTF-8, \\n line endings).
 
-Tables are evaluated in whole-array blocks, each row with the bits of its
-one-row library call: fig1 builds its states with build_states, a chunk of
-rows at a time, and fig2 its decay rows with channel._timing_negativities.
-sweep evaluates its points in the calling thread at --jobs 1 and in a pool
-of --jobs threads otherwise.
+Tables are evaluated through the public library API, each row with the bits
+of its one-row library call: fig1 builds its states with build_states, a
+chunk of rows at a time, and fig2 its decay rows with
+channel.timing_negativities.  sweep evaluates its points one after another in
+grid order, in the calling thread, through negativity_after_dephasing,
+negativity_dissipative and fidelity; --jobs is still parsed but changes
+nothing.
 
 Exit codes: 0 success, 2 parameter/config validation, 3 numerical failure,
 4 validation-suite failure.  All tabular output is deterministic: rerunning
@@ -32,23 +34,21 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import validate as validate_mod
-from .bath import BathSpec, dissipation_rate
+from .bath import BathSpec
 from .channel import (
     ChannelParams,
-    _dissipative_negativity,
-    _fidelity,
-    _negativity,
-    _thermal_phase_means,
-    _timing_negativities,
+    fidelity,
+    negativity_after_dephasing,
+    negativity_dissipative,
+    timing_negativities,
 )
 from .config import RunConfig
 from .design import FiberSpec, spacing_report
-from .errors import NgFiberError, ParameterError
+from .errors import ConfigError, NgFiberError, ParameterError
 from .negativity import negativity_analytic
 from .states import build_state, build_states
 
@@ -56,6 +56,10 @@ EXIT_OK = 0
 EXIT_PARAMETER = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
+# Most rows fig1 and fig2 tabulate; a larger count is refused before linspace
+# allocates it.  At 10^6 rows, on a 2-CPU x86-64 machine, fig1 takes about
+# 12 s and 0.3 GB, fig2 about 6 s and 0.5 GB.
+MAX_STEPS = 1_000_000
 # fig1 builds its states this many rows at a time, so that one chunk of states
 # (about 1 kB each plus 16 B per coefficient), not the whole table, is alive
 _FIG1_CHUNK = 1024
@@ -99,9 +103,15 @@ def write_table(args, header, rows, title: str) -> None:
         _write(args.out + ".gp", "\n".join(lines) + "\n")
 
 
-def cmd_fig1(args) -> int:
-    if args.steps < 2:
+def _check_steps(steps: int) -> None:
+    if steps < 2:
         raise ParameterError("steps must be >= 2")
+    if steps > MAX_STEPS:
+        raise ParameterError(f"steps must be <= {MAX_STEPS}, got {steps}")
+
+
+def cmd_fig1(args) -> int:
+    _check_steps(args.steps)
     if not (0.0 < args.zeta_min <= args.zeta_max < 1.0):
         raise ParameterError("need 0 < zeta-min <= zeta-max < 1")
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.steps).tolist()
@@ -115,8 +125,7 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_fig2(args) -> int:
-    if args.steps < 2:
-        raise ParameterError("steps must be >= 2")
+    _check_steps(args.steps)
     if not 0.0 < args.x_max < math.inf:
         raise ParameterError(f"x-max must be finite and > 0, got {args.x_max}")
     if not 0.0 < args.omega_c < math.inf:
@@ -125,16 +134,7 @@ def cmd_fig2(args) -> int:
     bath = BathSpec(omega_phonon=args.omega_c, temperature=0.0, omega_c=args.omega_c)
     xs = np.linspace(0.0, args.x_max, args.steps)
     taus = [x / args.omega_c for x in xs.tolist()]
-    # the refusals a ChannelParams per row would give: epsilon at row 0, then
-    # the largest tau_l (inf once x / omega_c overflows)
-    for tau_l in (taus[0], taus[-1]):
-        ChannelParams(
-            omega_a=0.0, omega_b=0.0, gamma_plus=0.0, gamma_minus=0.0,
-            tau_l=tau_l, epsilon=args.epsilon,
-        )
-    # every row reduces against the state's one cached A_k
-    gammas = [dissipation_rate(bath, tau_l) for tau_l in taus]
-    fluct = _timing_negativities(state, args.epsilon, gammas)
+    fluct = timing_negativities(state, args.epsilon, taus, bath)
     # xs starts at exactly 0, so row 0 is the fluctuation-free reference
     rows = [(x, value, fluct[0]) for x, value in zip(xs, fluct)]
     header = ("x", "negativity_fluct", "negativity_no_fluct")
@@ -202,37 +202,37 @@ def _sweep_inputs(run: RunConfig, assignments: list) -> list:
     return inputs
 
 
-def _sweep_point(observables: tuple, inputs: tuple) -> list:
-    state, bath, channel = inputs
-    # one thermal coherence row per point, shared by the channel observables
-    means = None
-    if any(name != "negativity" for name in observables):
-        means = _thermal_phase_means(state.n_max, channel, bath)
+def _sweep_point(observables: tuple, state, bath: BathSpec, channel: ChannelParams) -> list:
     values = []
     for name in observables:
         if name == "negativity":
             values.append(negativity_analytic(state))
         elif name == "negativity_dephased":
-            values.append(_negativity(state, means))
+            values.append(negativity_after_dephasing(state, channel, bath))
         elif name == "negativity_dissipative":
-            values.append(_dissipative_negativity(state, channel, bath, means))
+            values.append(negativity_dissipative(state, channel, bath, combined=True))
         else:
-            values.append(_fidelity(state, channel, means))
+            values.append(fidelity(state, channel, bath))
     return values
 
 
 def cmd_sweep(args) -> int:
     """Evaluate the config's observables on its grid; write one row per point in grid order.
 
-    The points' states, baths and channels are built first, in grid order in
-    the calling thread, each distinct state once; the states stay alive until
-    the sweep ends.  The points are then evaluated in the calling thread at
-    --jobs 1, and by a pool of --jobs threads otherwise.
+    The points' states, baths and channels are built first, in grid order,
+    each distinct state once, so a bad point is refused before any is
+    evaluated; the states stay alive until the sweep ends.  The points are
+    then evaluated in grid order in the calling thread.  --jobs is checked
+    but changes nothing.
     """
     if args.jobs < 1:
         raise ParameterError("jobs must be >= 1")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        run = RunConfig.from_text(fh.read())
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {args.config!r} is not UTF-8 text: {exc.reason}") from None
+    run = RunConfig.from_text(text)
     axes = run.axes_in_canonical_order()
     if not axes:
         raise ParameterError("sweep config declares no grid axes")
@@ -244,17 +244,10 @@ def cmd_sweep(args) -> int:
         ]
 
     inputs = _sweep_inputs(run, assignments)
-    point = functools.partial(_sweep_point, run.observables)
-    if args.jobs == 1:
-        results = list(map(point, inputs))
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(point, inputs))
-
     header = tuple(axes) + run.observables
     rows = [
-        tuple(assignment[axis] for axis in axes) + tuple(values)
-        for assignment, values in zip(assignments, results)
+        tuple(assignment[axis] for axis in axes) + tuple(_sweep_point(run.observables, *point))
+        for assignment, point in zip(assignments, inputs)
     ]
     write_table(args, header, rows, "parameter sweep")
     return EXIT_OK
@@ -315,7 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="parameter grid from a config file")
     _add_table_flags(ps)
     ps.add_argument("--config", required=True, help="sweep config file")
-    ps.add_argument("--jobs", type=int, default=4, help="worker threads")
+    ps.add_argument(
+        "--jobs",
+        type=int,
+        default=4,
+        help="accepted (must be >= 1) but changes nothing: the sweep runs in one thread",
+    )
     ps.set_defaults(func=cmd_sweep)
 
     return parser

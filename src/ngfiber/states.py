@@ -35,6 +35,10 @@ from .fock import FockSpace
 
 DEFAULT_TAIL_TOL = 1e-12
 _MAX_TERMS = 1_000_000
+# Largest p accepted.  _series makes one pass over the terms per j = 1..p: at
+# zeta = sqrt(e / p), where P^2 stays finite, p = 10^4 builds in 0.09 s and
+# p = 10^5 in 3.8 s on a 2-CPU x86-64 machine.
+_MAX_P = 10_000
 # Most cells (rows x terms) in one 2-D block of norm series.  It bounds the
 # memory build_states takes at once, never its results: every row is computed
 # on its own.
@@ -205,6 +209,8 @@ def _states(p: int, zetas: list, log_terms: np.ndarray, cuts: list) -> list:
 def _validate(p, tail_tol) -> int:
     if not (p >= 0 and math.isfinite(p) and int(p) == p):
         raise ParameterError(f"p must be a non-negative integer, got {p}")
+    if p > _MAX_P:
+        raise ParameterError(f"p must be <= {_MAX_P}, got {p}")
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must be in (0, 1), got {tail_tol}")
     return int(p)

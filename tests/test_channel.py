@@ -31,6 +31,7 @@ from ngfiber.channel import (
     negativity_after_dephasing,
     negativity_dissipative,
     recovery_times,
+    timing_negativities,
     visibility_unity_time,
 )
 from ngfiber.errors import DimensionBudgetExceeded, ParameterError, ZeroFrequency
@@ -262,6 +263,17 @@ def test_every_channel_keeps_d0_exactly_one(temp, epsilon):
         assert _dissipative_factors(6, pars, bath)[0] == 1.0
 
 
+def test_thermal_row_is_shared_read_only():
+    # the observables of one sweep point ask for the same row in turn; every
+    # caller gets the one array, so no caller may write to it
+    pars = params(3.0 / WC, gamma_plus=1e8)
+    row = _thermal_phase_means(6, pars, warm_bath())
+    assert _thermal_phase_means(6, params(3.0 / WC, gamma_plus=1e8), warm_bath()) is row
+    with pytest.raises(ValueError):
+        row[1] = 0.0
+    assert _thermal_phase_means(6, params(4.0 / WC, gamma_plus=1e8), warm_bath()) is not row
+
+
 @pytest.mark.parametrize("p, zeta", [(0, 0.3), (1, 0.6), (3, 0.9)])
 @pytest.mark.parametrize("tau", [0.0, 3.0 / WC, 1e-6])
 def test_zero_temperature_dissipative_negativity_matches_the_general_route(p, zeta, tau):
@@ -271,6 +283,26 @@ def test_zero_temperature_dissipative_negativity_matches_the_general_route(p, ze
     general = _negativity(state, _dissipative_factors(state.n_max, pars, cold_bath()))
     assert negativity_dissipative(state, pars, cold_bath()) == general
     assert negativity_dissipative(state, pars, cold_bath(), combined=True) == general
+    assert timing_negativities(state, 4e-12, [tau], cold_bath()) == [general]
+
+
+@pytest.mark.parametrize(
+    "epsilon, taus", [(-1.0, [0.0]), (math.inf, [0.0]), (4e-12, [0.0, math.inf]),
+                      (4e-12, [math.nan]), (math.nan, [0.0])],
+)
+def test_timing_negativities_refuse_as_channel_params_do(epsilon, taus):
+    state = build_state(1, 0.5)
+    with pytest.raises(ParameterError) as want:
+        for tau in taus:
+            ChannelParams(0.0, 0.0, 0.0, 0.0, tau, epsilon)
+    with pytest.raises(ParameterError) as got:
+        timing_negativities(state, epsilon, taus, cold_bath())
+    assert str(got.value) == str(want.value)
+
+
+def test_timing_negativities_refuse_a_warm_bath():
+    with pytest.raises(ParameterError, match="T = 0 result"):
+        timing_negativities(build_state(1, 0.5), 4e-12, [1e-9], warm_bath())
 
 
 def coherence_magnitudes(state, bath, x, decay_rate=0.0):

@@ -1,13 +1,14 @@
 """Command-line interface: formats, validation, and deterministic output."""
 
+import inspect
 import json
 import math
 import os
 import pathlib
 import re
 import shlex
-import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from ngfiber.channel import (
     _dissipative_factors,
     _negativity,
     negativity_dissipative,
+    timing_negativities,
 )
 from ngfiber.config import _FIXED_DEFAULTS
 from ngfiber.design import silica_preset
@@ -177,6 +179,22 @@ def test_fig2_rerun_is_byte_identical(tmp_path):
     assert read_bytes(a) == read_bytes(b)
 
 
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+@pytest.mark.parametrize("steps", ["1000001", "1000000000000"])
+def test_steps_above_the_cap_are_refused_before_allocating(
+    tmp_path, capsys, monkeypatch, command, steps
+):
+    # 10^12 rows used to die in np.linspace with numpy's _ArrayMemoryError, exit 1
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("linspace ran")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    out = tmp_path / "x.csv"
+    assert run_cli(command, "--steps", steps, "--out", str(out)) == 2
+    assert f"steps must be <= {cli.MAX_STEPS}, got {steps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fig2_validation(tmp_path):
     out = str(tmp_path / "x.csv")
     assert run_cli("fig2", "--out", out, "--steps", "1") == 2
@@ -252,6 +270,18 @@ def test_fig2_rows_are_bit_equal_to_the_general_route(p, zeta, epsilon, x_max, s
         for x in np.linspace(0.0, x_max, steps)
     ]
     assert [line.split(",")[1] for line in lines] == [f"{v:.16e}" for v in values]
+    taus = [x / omega_c for x in np.linspace(0.0, x_max, steps).tolist()]
+    assert timing_negativities(state, epsilon, taus, bath) == values
+
+
+def test_cli_binds_no_private_channel_function():
+    bound = {
+        attr: obj for attr, obj in vars(cli).items()
+        if inspect.isfunction(obj) and obj.__module__ == "ngfiber.channel"
+    }
+    assert "timing_negativities" in bound
+    assert [attr for attr, obj in bound.items() if attr.startswith("_")
+            or obj.__name__.startswith("_")] == []
 
 
 def csv_rows(path) -> list:
@@ -499,15 +529,17 @@ def test_sweep_jobs_one_runs_in_the_calling_thread(tmp_path, monkeypatch):
         "[fixed]\ngamma_plus = 3e8\nepsilon = 4e-12\n"
         "[grid]\nzeta = 0.2, 0.6\ntemperature = 0, 0.5\n",
     )
-    pooled, inline = tmp_path / "pooled.csv", tmp_path / "inline.csv"
-    assert run_cli("sweep", "--config", cfg, "--out", str(pooled), "--jobs", "3") == 0
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("--jobs 1 started a thread pool")
+    def no_thread(self):
+        raise AssertionError("sweep started a thread")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    assert run_cli("sweep", "--config", cfg, "--out", str(inline), "--jobs", "1") == 0
-    assert read_bytes(inline) == read_bytes(pooled)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    outs = []
+    for jobs in ("1", "8"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--jobs", jobs) == 0
+        outs.append(read_bytes(out))
+    assert outs[0] == outs[1]
 
 
 def test_sweep_builds_each_distinct_state_once(tmp_path, monkeypatch):
@@ -534,28 +566,6 @@ def test_sweep_builds_each_distinct_state_once(tmp_path, monkeypatch):
         assert read_bytes(out) == read_bytes(ref)
 
 
-def test_sweep_threads_share_states_safely(tmp_path):
-    # 8 threads on 2 shared states, switching every microsecond: each state's
-    # autocorrelations are computed lazily by whichever thread reads them first
-    cfg = sweep_config(
-        tmp_path,
-        "[fixed]\ngamma_plus = 3e8\nepsilon = 4e-12\n"
-        "[grid]\nzeta = 0.6, 0.9\ntemperature = 0, 0.2, 4\n"
-        "tau_l = 1e-8, 2e-8, 3e-8, 4e-8, 5e-8, 6e-8\n",
-    )
-    outs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for jobs in ("1", "8", "8"):
-            out = tmp_path / f"x{len(outs)}.csv"
-            assert run_cli("sweep", "--config", cfg, "--out", str(out), "--jobs", jobs) == 0
-            outs.append(read_bytes(out))
-    finally:
-        sys.setswitchinterval(interval)
-    assert outs[1] == outs[0] and outs[2] == outs[0]
-
-
 def test_sweep_error_paths(tmp_path):
     out = str(tmp_path / "x.csv")
     # missing config file
@@ -569,6 +579,11 @@ def test_sweep_error_paths(tmp_path):
     # invalid worker count
     cfg = sweep_config(tmp_path, "[grid]\nzeta = 0.4\n", "one.cfg")
     assert run_cli("sweep", "--config", cfg, "--out", out, "--jobs", "0") == 2
+    # a config that is not UTF-8 text
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xff[grid]\nzeta = 0.4\n")
+    assert run_cli("sweep", "--config", str(cfg), "--out", out) == 2
+    assert not os.path.exists(out)
 
 
 def test_sweep_refuses_the_difference_coupling_key(tmp_path, capsys):
@@ -585,7 +600,8 @@ def test_sweep_refuses_the_difference_coupling_key(tmp_path, capsys):
     "grid",
     ["p = 1.5", "p = nan", "zeta = nan", "temperature = 1e20", "temperature = inf",
      "tau_l = nan", "epsilon = nan", "zeta = 0.4\n[fixed]\nomega_a = nan",
-     "zeta = 0.4\n[fixed]\ntail_tol = 1", "zeta = 0.4\n[fixed]\ntail_tol = 0"],
+     "zeta = 0.4\n[fixed]\ntail_tol = 1", "zeta = 0.4\n[fixed]\ntail_tol = 0",
+     "p = 100000000"],
 )
 def test_sweep_refuses_invalid_points(tmp_path, grid):
     # a fractional p is refused, not truncated; at 1e20 K the Boltzmann ratio
@@ -597,6 +613,8 @@ def test_sweep_refuses_invalid_points(tmp_path, grid):
 @pytest.mark.parametrize(
     "argv",
     [["fig1", "--p", "150", "--zeta-min", "0.9", "--zeta-max", "0.9", "--steps", "2"],
+     ["fig1", "--p", "100000000", "--steps", "2"],
+     ["fig2", "--p", "100000000", "--steps", "2"],
      ["fig1", "--tail-tol", "nan", "--steps", "2"],
      ["fig1", "--tail-tol", "inf", "--steps", "2"],
      ["fig1", "--tail-tol", "1", "--steps", "2"],

@@ -252,17 +252,28 @@ def test_series_overflow_is_refused():
     "name, p, zeta, tail_tol",
     [("p", math.nan, 0.5, 1e-12), ("p", math.inf, 0.5, 1e-12), ("zeta", 1, math.nan, 1e-12),
      ("zeta", 1, complex(0.3, math.nan), 1e-12), ("tail_tol", 1, 0.5, math.nan),
-     ("tail_tol", 1, 0.5, math.inf), ("tail_tol", 1, 0.5, 1.0)],
+     ("tail_tol", 1, 0.5, math.inf), ("tail_tol", 1, 0.5, 1.0), ("p", 10_001, 0.01, 1e-12),
+     ("p", 10**8, 0.5, 1e-12)],
 )
 def test_nan_inputs_are_refused(name, p, zeta, tail_tol):
     # refused up front, naming the input, instead of scanning _MAX_TERMS terms;
-    # a tail_tol of 1 or more would keep a state of n_max 1 at zeta = 0.85
+    # a tail_tol of 1 or more would keep a state of n_max 1 at zeta = 0.85;
+    # each j <= p costs _series a pass, so p = 10^8 would never finish
     with pytest.raises(ParameterError, match=f"^{name} must"):
         build_state(p, zeta, tail_tol)
     with pytest.raises(ParameterError, match=f"^{name} must"):
         normalization(p, zeta, tail_tol)
     with pytest.raises(ParameterError, match=f"^{name} must"):
         build_states(p, [0.4, zeta], tail_tol)
+
+
+def test_p_at_the_cap_builds():
+    # zeta = sqrt(e / p) keeps P^2 finite
+    p = states._MAX_P
+    state = build_state(p, math.sqrt(math.e / p))
+    assert state.p == p and math.isfinite(state.norm_p2)
+    with pytest.raises(ParameterError, match=f"^p must be <= {p}, got {p + 1}$"):
+        build_state(p + 1, 0.5, n_max=3)
 
 
 def test_tail_bound_is_recorded_and_small():
