@@ -18,8 +18,8 @@ and its phases are multiplied into the columns of each propagator block.
 
 In every bath configuration s of a state propagated from
 `joint_initial_state`, n_a - n_b = -p - 2 sum_i s_i, so the reduced two-mode
-state conserves n_a - n_b and `negativity_trace` eigensolves its partial
-transpose one total-photon-number block at a time.
+state conserves n_a - n_b, and `negativity_trace` eigensolves the blocks of
+its partial transpose that `negativity` builds; no dense one is formed.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionBudgetExceeded, DimensionMismatch, ParameterError
-from .fock import FockOperator, FockSpace, _block_expm, _quarter_phases
-from .negativity import _negativity_fock_blocked
+from .fock import TRACE_TOL, FockSpace, _block_expm, _quarter_phases
+from .negativity import _negativity_blocked
 from .states import NonGaussianState, embed
 
 # Largest joint dimension.  It bounds psi and the sector blocks of H (at most
@@ -277,6 +277,7 @@ def build_hamiltonian(
 
 def joint_phase_shifter(space: FockSpace, bath: ToyBath) -> np.ndarray:
     """Pi on the system, identity on the bath, as a phase vector: apply as pi_op * psi."""
+    check_budget(space, bath)
     return np.repeat(_quarter_phases(space), bath.bath_dim())
 
 
@@ -377,11 +378,14 @@ def negativity_trace(psi_joint: np.ndarray, space: FockSpace, bath: ToyBath) -> 
     """Negativity of the reduced two-mode state of a joint pure state.
 
     Its partial transpose is eigensolved one total-photon-number block at a
-    time (see the module docstring).  A psi_joint whose reduced state mixes
-    different n_a - n_b, or whose norm is not 1, raises ParameterError.
+    time (see the module docstring).  A psi_joint whose norm is not 1, or
+    whose reduced state mixes different n_a - n_b, raises ParameterError.
     """
     rho = reduced_system_matrix(psi_joint, space, bath)
-    return _negativity_fock_blocked(FockOperator(space, rho))
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ParameterError(f"negativity_trace expects unit trace, got {tr:.12g}")
+    return _negativity_blocked(rho, space.n_a, space.n_b)
 
 
 def system_fidelity(
@@ -428,4 +432,5 @@ def joint_initial_state(
     state: NonGaussianState, space: FockSpace, bath: ToyBath
 ) -> np.ndarray:
     """System state tensored with the bath ground state."""
+    check_budget(space, bath)
     return np.kron(embed(state, space), bath_ground_state(bath))

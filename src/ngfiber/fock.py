@@ -6,10 +6,10 @@ representation is reproducible across runs, and each total photon number
 N = n_a + n_b is one contiguous index range.  `_block_expm` computes
 propagators of Hermitian blocks already stacked by size (one stacked eigh per
 size, for a whole list of matrices at once); `bangbang` passes its conserved
-sectors straight in.  `partial_transpose` feeds `bangbang.negativity_trace`,
-which eigensolves it one total-photon-number block at a time.  The dense
-operators (`annihilation`, `number_operator`, `phase_shifter`, `expm`) are
-kept as reference implementations for the tests and `validate`.
+sectors straight in.  The dense operators (`annihilation`, `number_operator`,
+`phase_shifter`, `partial_transpose`, `expm`) are kept as reference
+implementations for the tests and `validate`; `partial_transpose` is the
+dense oracle behind `negativity.negativity_fock`.
 """
 
 from __future__ import annotations

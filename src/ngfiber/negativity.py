@@ -4,15 +4,15 @@ For a manifold state the partially transposed density matrix decomposes into
 1x1 blocks (the diagonal weights) and 2x2 blocks contributing eigenvalue
 pairs +/- |rho_nm|, so the negativity has a closed series form.  The numeric
 route below never uses that pair structure.  It relies only on the fact that
-a state supported on the n_a - n_b = -p manifold has a partial transpose that
-conserves the total photon number N = n_a + n_b, so rho^PT is block diagonal
-in N.  Each block is assembled straight from the manifold matrix and handed
-to a Hermitian eigensolver, which makes the route an independent cross-check
-of the series.  The same fact holds for any two-mode density matrix that
-conserves n_a - n_b, such as the reduced state of a bang-bang run: its
-partial transpose (`fock.partial_transpose`) is eigensolved one N block at a
-time.  The dense route (transpose one mode index, diagonalize the whole
-space, `negativity_fock`) is kept as the test oracle.
+a two-mode density matrix that conserves n_a - n_b has a partial transpose
+that conserves the total photon number N = n_a + n_b, so rho^PT is block
+diagonal in N.  One builder (`_pt_blocks`) assembles those blocks straight
+from rho and the occupations of its basis, and each is handed to a Hermitian
+eigensolver.  It serves a manifold matrix (`negativity_numeric`, an
+independent cross-check of the series) and the reduced state of a bang-bang
+run (`bangbang.negativity_trace`) alike.  The dense route (transpose one mode
+index, diagonalize the whole space, `negativity_fock`) is kept as the test
+oracle.
 
 Convention: the negativity returned everywhere in this module is the trace
 norm defect ||rho^PT||_1 - 1, i.e. twice the absolute sum of the negative
@@ -84,51 +84,45 @@ def negativity_fock(rho: FockOperator) -> float:
     return float(np.abs(eigs).sum() - eigs.sum())
 
 
-def _negativity_fock_blocked(rho: FockOperator) -> float:
-    """negativity_fock of a two-mode density matrix that conserves n_a - n_b.
+def _pt_blocks(rho: np.ndarray, n_a: np.ndarray, n_b: np.ndarray):
+    """Total-photon-number blocks of the partial transpose over mode b, by ascending N.
 
-    Its partial transpose has no entry between different N = n_a + n_b, so
-    each N block (a contiguous index range) is eigensolved on its own.  An
-    entry between different N above TRACE_TOL means rho mixes n_a - n_b and
-    raises ParameterError; there is no dense fallback.
+    rho is a density matrix over the basis states |n_a[i], n_b[i]>.  Its entry
+    rho_ij = <a_i b_i| rho |a_j b_j> is <a_i b_j| rho^Tb |a_j b_i>, and when i
+    and j share n_a - n_b both of those states hold N = a_i + b_j photons.  So
+    block N holds rho_ij at row a_i and column a_j, less the block's smallest
+    n_a.  An entry above TRACE_TOL between different n_a - n_b raises
+    ParameterError: its partial-transpose entry would join two blocks.
     """
-    pt = partial_transpose(rho).matrix
-    space = rho.space
-    total = space.n_a + space.n_b
-    leak = np.abs(pt[total[:, None] != total[None, :]]).max(initial=0.0)
+    diff = n_a - n_b
+    same = diff[:, None] == diff[None, :]
+    leak = np.abs(rho[~same]).max(initial=0.0)
     if leak > TRACE_TOL:
-        raise ParameterError(
-            f"density matrix mixes different n_a - n_b (partial transpose entry {leak:.3e} "
-            f"between photon numbers)"
-        )
-    ends = np.arange(space.total_cut + 2) * np.arange(1, space.total_cut + 3) // 2
-    eigs = np.concatenate([np.linalg.eigvalsh(pt[a:b, a:b]) for a, b in zip(ends, ends[1:])])
-    return float(np.abs(eigs).sum() - eigs.sum())
-
-
-def _pt_blocks(rho: ManifoldDensityMatrix):
-    """Nonzero total-photon-number blocks of the partial transpose over mode b.
-
-    <n_a, N - n_a| rho^Tb |m_a, N - m_a> = <n_a, N - m_a| rho |m_a, N - n_a>,
-    which is the manifold entry rho_{n_a, m_a} when N - n_a = m_a + p and 0
-    otherwise.  So block N holds rho_{n_a, N - p - n_a} at row n_a and
-    column N - p - n_a; rows with either index outside 0..n_max are zero and
-    are left out.  Yields one Hermitian matrix per N = p .. 2 n_max + p.
-    """
-    for total in range(rho.p, 2 * rho.n_max + rho.p + 1):
-        lo = max(0, total - rho.p - rho.n_max)
-        hi = min(rho.n_max, total - rho.p)
-        rows = np.arange(lo, hi + 1)
-        block = np.zeros((rows.size, rows.size), dtype=complex)
-        block[rows - lo, hi - rows] = rho.rho[rows, hi + lo - rows]
+        raise ParameterError(f"density matrix mixes different n_a - n_b (entry {leak:.3e})")
+    i, j = np.nonzero(same)
+    order = np.argsort(n_a[i] + n_b[j], kind="stable")
+    i, j = i[order], j[order]
+    rows, cols, values, total = n_a[i], n_a[j], rho[i, j], n_a[i] + n_b[j]
+    starts = np.flatnonzero(np.diff(total, prepend=-1))
+    lows = np.minimum.reduceat(rows, starts)
+    sizes = np.maximum.reduceat(rows, starts) - lows + 1
+    for start, end, low, size in zip(starts, [*starts[1:], total.size], lows, sizes):
+        block = np.zeros((size, size), dtype=complex)
+        block[rows[start:end] - low, cols[start:end] - low] = values[start:end]
         yield block
+
+
+def _negativity_blocked(rho: np.ndarray, n_a: np.ndarray, n_b: np.ndarray) -> float:
+    """sum(|lambda| - lambda) over the eigenvalues of every _pt_blocks block."""
+    eigs = np.concatenate([np.linalg.eigvalsh(block) for block in _pt_blocks(rho, n_a, n_b)])
+    return float(np.abs(eigs).sum() - eigs.sum())
 
 
 def negativity_numeric(rho: ManifoldDensityMatrix) -> float:
     """Negativity by a partial-transpose eigensolve, blocked by total photon number.
 
-    Sums |lambda| - lambda over the eigenvalues of every block that
-    _pt_blocks assembles from the manifold matrix.  The blocks are exact, not
+    The manifold basis is |n, n + p>, n = 0..n_max, so _pt_blocks assembles
+    the blocks straight from the manifold matrix.  The blocks are exact, not
     an approximation: a manifold state commutes with n_a - n_b, so its
     partial transpose commutes with n_a + n_b and has no entry between
     different blocks.  The full space is never built; memory is O(n_max^2).
@@ -137,5 +131,5 @@ def negativity_numeric(rho: ManifoldDensityMatrix) -> float:
     empty blocks.
     """
     rho.validate()
-    eigs = np.concatenate([np.linalg.eigvalsh(block) for block in _pt_blocks(rho)])
-    return float(np.abs(eigs).sum() - eigs.sum())
+    n = np.arange(rho.n_max + 1)
+    return _negativity_blocked(rho.rho, n, n + rho.p)

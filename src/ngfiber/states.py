@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ _MAX_TERMS = 1_000_000
 # zeta = sqrt(e / p), where P^2 stays finite, p = 10^4 builds in 0.09 s and
 # p = 10^5 in 3.8 s on a 2-CPU x86-64 machine.
 _MAX_P = 10_000
+# log P^2 above which the tail rule refuses a zeta before summing its series.  A
+# summed log term carries up to p roundings at magnitudes up to ~1e5 (~1.3e-7 in all
+# at p = _MAX_P; within 1.1e-10 of the closed form where P^2 overflows, p <= 10^4)
+# and lgamma a few ulp, so the 1e-6 margin keeps every zeta the series builds.
+_LOG_P2_LIMIT = math.log(sys.float_info.max) + 1e-6
 # Most cells (rows x terms) in one 2-D block of norm series.  It bounds the
 # memory build_states takes at once, never its results: every row is computed
 # on its own.
@@ -93,6 +99,24 @@ def _first_length(p: int, az: float, log_tol: float) -> int:
     return int(min(1.25 * max(guess, 0.0) + 8, _MAX_TERMS))
 
 
+def _overflows(p: int, az: list) -> np.ndarray:
+    """Per |zeta|: whether the whole norm series leaves double precision.
+
+    P^2 = p! |zeta|^(2p) / (1 - |zeta|^2)^(p+1) in closed form.  The tail rule
+    keeps all of it but a tail below tail_tol < 1, so beyond _LOG_P2_LIMIT the
+    kept partial sum overflows too: the row is refused without summing it.
+    """
+    a = np.array(az)
+    log_p2 = math.lgamma(p + 1) + 2 * p * np.log(a) - (p + 1) * np.log1p(-a * a)
+    return log_p2 > _LOG_P2_LIMIT
+
+
+def _leaves_double(p: int, az: float, p2: float) -> ParameterError:
+    return ParameterError(
+        f"norm series leaves double precision at p = {p}, |zeta| = {az}: P^2 = {p2}"
+    )
+
+
 def _runs(order: list, lengths: list):
     """Consecutive runs of order (rows by ascending length) of at most _BLOCK_CELLS cells.
 
@@ -112,13 +136,15 @@ def _truncate(p: int, zetas: list, tail_tol: float) -> list:
 
     The rows are sorted by the length of their first vector and evaluated by
     _cut in the runs of _runs.  A row with no n passing in its vector doubles
-    the vector, up to _MAX_TERMS, and goes into a later run.
+    the vector, up to _MAX_TERMS, and goes into a later run.  A row whose
+    whole series overflows (_overflows) is refused first.
     """
     az = [abs(zeta) for zeta in zetas]
     log_tol = math.log(tail_tol)
     lengths = [_first_length(p, a, log_tol) for a in az]
-    out = [None] * len(zetas)
-    pending = sorted(range(len(zetas)), key=lengths.__getitem__)
+    over = _overflows(p, az)
+    out = [_leaves_double(p, a, math.inf) if o else None for a, o in zip(az, over)]
+    pending = sorted(np.flatnonzero(~over).tolist(), key=lengths.__getitem__)
     while pending:
         retry = []  # doubling every length keeps the ascending order
         for rows in _runs(pending, lengths):
@@ -191,10 +217,7 @@ def _states(p: int, zetas: list, log_terms: np.ndarray, cuts: list) -> list:
             continue
         n, p2, tail = cut
         if log_p2[i] == math.inf:
-            out.append(ParameterError(
-                f"norm series leaves double precision at p = {p}, |zeta| = {abs(zeta)}: "
-                f"P^2 = {p2}"
-            ))
+            out.append(_leaves_double(p, abs(zeta), p2))
             continue
         theta = cmath.phase(complex(zeta))
         if theta:
@@ -332,6 +355,8 @@ def build_state(
         return _vacuum(zeta)
     if n_max is None:  # _truncate on one row, without its sorting and runs
         az = abs(zeta)
+        if _overflows(p, [az])[0]:
+            raise _leaves_double(p, az, math.inf)
         length = _first_length(p, az, math.log(tail_tol))
         while (state := _cut(p, [zeta], [az], [length], tail_tol)[0]) is None:
             length = min(2 * length, _MAX_TERMS)

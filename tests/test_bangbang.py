@@ -72,6 +72,20 @@ def test_dimension_budget():
         bb.build_hamiltonian(FockSpace(80), bath)
 
 
+def test_joint_builders_refuse_what_build_hamiltonian_refuses():
+    bath = bb.ToyBath(2, (1.0, 1.5), (0.3, 0.2), (0.0, 0.0), (0.0, 0.0), s_cut=4)
+    space = FockSpace(20)
+    assert bb.joint_dim(space, bath) == 5775 > bb.DIMENSION_BUDGET
+    state = build_state(1, 0.5, n_max=2)
+    for build in (
+        lambda: bb.build_hamiltonian(space, bath),
+        lambda: bb.joint_initial_state(state, space, bath),
+        lambda: bb.joint_phase_shifter(space, bath),
+    ):
+        with pytest.raises(DimensionBudgetExceeded, match="5775"):
+            build()
+
+
 def test_hamiltonian_is_diagonal_without_couplings():
     bath = small_bath(g=0.0)
     space = FockSpace(3)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -13,6 +13,7 @@ from ngfiber.bath import BathSpec
 from ngfiber.channel import ChannelParams, evolve_dephasing
 from ngfiber.fock import FockOperator, FockSpace, partial_transpose
 from ngfiber.negativity import (
+    _negativity_blocked,
     _pt_blocks,
     negativity_analytic,
     negativity_fock,
@@ -154,7 +155,8 @@ def test_blocked_route_matches_dense_oracle(rho):
 def test_block_spectrum_matches_dense_and_analytic(p, zeta, n_max):
     state = build_state(p, zeta, n_max=n_max)
     rho = state.density_matrix()
-    blocks = list(_pt_blocks(rho))
+    n = np.arange(n_max + 1)
+    blocks = list(_pt_blocks(rho.rho, n, n + p))
     assert len(blocks) == 2 * n_max + 1
     # every block entry is a copy of a manifold entry, so the blocks are as
     # Hermitian as rho itself
@@ -167,6 +169,34 @@ def test_block_spectrum_matches_dense_and_analytic(p, zeta, n_max):
     assert blocked.size == nonzero.size == (n_max + 1) ** 2
     assert_allclose(blocked, nonzero, rtol=0, atol=1e-13)
     assert_allclose(blocked, ppt_spectrum_analytic(state).eigenvalues(), rtol=0, atol=1e-13)
+
+
+@st.composite
+def sector_mixtures(draw):
+    """A two-mode density matrix mixing pure states, each on one n_a - n_b sector."""
+    space = FockSpace(draw(st.integers(min_value=0, max_value=10)))
+    diff = space.n_a - space.n_b
+    sectors = st.integers(min_value=-space.total_cut, max_value=space.total_cut)
+    parts = st.floats(min_value=-1.0, max_value=1.0)
+    rho = np.zeros((space.dim, space.dim), dtype=complex)
+    for sector in draw(st.lists(sectors, min_size=1, max_size=4)):
+        where = np.flatnonzero(diff == sector)
+        amps = draw(st.lists(st.tuples(parts, parts), min_size=where.size, max_size=where.size))
+        psi = np.zeros(space.dim, dtype=complex)
+        psi[where] = [complex(re, im) for re, im in amps]
+        rho += draw(st.floats(min_value=0.05, max_value=1.0)) * np.outer(psi, psi.conj())
+    trace = np.trace(rho).real
+    assume(trace > 1e-3)
+    return space, rho / trace
+
+
+@settings(max_examples=80, deadline=None)
+@given(sector_mixtures())
+def test_block_builder_matches_dense_oracle_on_sector_mixtures(mixture):
+    space, rho = mixture
+    blocked = _negativity_blocked(rho, space.n_a, space.n_b)
+    dense = negativity_fock(FockOperator(space, rho))
+    assert_allclose(blocked, dense, rtol=0, atol=1e-12)
 
 
 def test_blocked_route_at_real_truncation():

@@ -248,6 +248,29 @@ def test_series_overflow_is_refused():
         build_state(150, 0.9, n_max=700)
 
 
+def test_large_p_overflow_is_refused_before_summing():
+    # at p = 10^4, zeta = 0.5 the tail rule would size the series at ~1.7e5
+    # terms and make p passes over it; the closed form refuses it at once
+    for zetas in ([0.5], [0.3, 0.5, 0.85]):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=r"^norm series leaves double precision "
+                           r"at p = 10000, \|zeta\| = 0\.(5|3): P\^2 = inf$"):
+            build_states(10_000, zetas)
+        with pytest.raises(ParameterError, match="double precision"):
+            build_state(10_000, zetas[0])
+        assert time.perf_counter() - start < 0.05
+
+
+def test_overflow_margin_keeps_what_the_series_builds():
+    # the closed-form log P^2 of this zeta exceeds log(DBL_MAX) by 1.9e-11,
+    # but the summed series stays finite; the next double overflows
+    zeta = 0.0338343093305967
+    state = build_state(3000, zeta)
+    assert math.isfinite(state.norm_p2) and state.norm_p2 > 1.79e308
+    with pytest.raises(ParameterError, match="double precision"):
+        build_state(3000, math.nextafter(zeta, 1.0))
+
+
 @pytest.mark.parametrize(
     "name, p, zeta, tail_tol",
     [("p", math.nan, 0.5, 1e-12), ("p", math.inf, 0.5, 1e-12), ("zeta", 1, math.nan, 1e-12),
