@@ -43,11 +43,9 @@ from .fock import (
     phase_shifter,
 )
 from .negativity import (
-    PptSpectrum,
     negativity_analytic,
     negativity_fock,
     negativity_numeric,
-    ppt_spectrum_analytic,
 )
 from .states import (
     ManifoldDensityMatrix,
@@ -70,7 +68,6 @@ __all__ = [
     "FockSpace",
     "ManifoldDensityMatrix",
     "NonGaussianState",
-    "PptSpectrum",
     "annihilation",
     "build_state",
     "build_states",
@@ -95,7 +92,6 @@ __all__ = [
     "ohmic_memory",
     "partial_transpose",
     "phase_shifter",
-    "ppt_spectrum_analytic",
     "recovery_times",
     "segment_time",
     "silica_preset",

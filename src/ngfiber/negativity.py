@@ -23,37 +23,11 @@ decohered variants in the channel module reduce to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
 from .fock import TRACE_TOL, FockOperator, partial_transpose
 from .states import ManifoldDensityMatrix, NonGaussianState
-
-
-@dataclass
-class PptSpectrum:
-    """Analytic eigenvalue content of the partially transposed pure state."""
-
-    diagonal: np.ndarray  # 1x1 blocks, one per manifold index
-    pair_indices: np.ndarray  # (n, m) with n < m
-    pair_magnitudes: np.ndarray  # each contributes eigenvalues +mag and -mag
-
-    def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues, sorted ascending (zeros from the embedding omitted)."""
-        vals = np.concatenate([self.diagonal, self.pair_magnitudes, -self.pair_magnitudes])
-        return np.sort(vals)
-
-
-def ppt_spectrum_analytic(state: NonGaussianState) -> PptSpectrum:
-    """Partial-transpose spectrum from the state's coefficient vector."""
-    a = state.abs_coeffs()
-    diag = a * a
-    n = state.n_max + 1
-    iu = np.triu_indices(n, k=1)
-    mags = a[iu[0]] * a[iu[1]]
-    return PptSpectrum(diag, np.column_stack(iu), mags)
 
 
 def negativity_analytic(state: NonGaussianState) -> float:

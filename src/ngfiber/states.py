@@ -10,9 +10,10 @@ downstream (spectra, channels, design numbers) is built from this coefficient
 vector.  The series of one |zeta| is one row of log terms (_series); its
 partial sums and analytic tail bounds give the truncation, P^2, the
 coefficients and the recorded tail bound alike, whether n_max is chosen by the
-tail rule or given.  build_states truncates many zetas at once, in 2-D blocks
-of rows (_cut); build_state runs the same _cut on one row, so there is one
-truncation path and every state has the same bits from either.
+tail rule or given.  The tail rule has one path, _truncate: build_states
+truncates many zetas at once, in 2-D blocks of rows (_cut), and build_state
+without n_max is build_states on one row, so every state has the same bits
+from either.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def _first_length(p: int, az: float, log_tol: float) -> int:
     """n_top of a row's first vector.
 
     Sized from where |zeta|^(2n) n^p / (1 - |zeta|^2) reaches tail_tol, with a
-    25% margin (the estimate falls short by up to ~13%).
+    25% margin.  At large p it still falls short, and the row is retried: at
+    tail_tol 1e-12, n_max reaches 1.06x this length at p = 30 and 1.31x at
+    p = 100 (2x at p = 100, tail_tol 1e-3).
     """
     log_az2 = 2.0 * math.log(az)
     n0 = max(log_tol / log_az2, 0.0)  # |zeta|^(2 n0) = tail_tol
@@ -99,7 +102,7 @@ def _first_length(p: int, az: float, log_tol: float) -> int:
     return int(min(1.25 * max(guess, 0.0) + 8, _MAX_TERMS))
 
 
-def _overflows(p: int, az: list) -> np.ndarray:
+def _overflows(p: int, az: list) -> list:
     """Per |zeta|: whether the whole norm series leaves double precision.
 
     P^2 = p! |zeta|^(2p) / (1 - |zeta|^2)^(p+1) in closed form.  The tail rule
@@ -108,7 +111,7 @@ def _overflows(p: int, az: list) -> np.ndarray:
     """
     a = np.array(az)
     log_p2 = math.lgamma(p + 1) + 2 * p * np.log(a) - (p + 1) * np.log1p(-a * a)
-    return log_p2 > _LOG_P2_LIMIT
+    return (log_p2 > _LOG_P2_LIMIT).tolist()
 
 
 def _leaves_double(p: int, az: float, p2: float) -> ParameterError:
@@ -135,8 +138,8 @@ def _truncate(p: int, zetas: list, tail_tol: float) -> list:
     """The truncated state of every zeta, or the ParameterError build_state raises for it.
 
     The rows are sorted by the length of their first vector and evaluated by
-    _cut in the runs of _runs.  A row with no n passing in its vector doubles
-    the vector, up to _MAX_TERMS, and goes into a later run.  A row whose
+    _cut in the runs of _runs.  A row with no n passing in its run's vector
+    goes into a later run at twice that length, up to _MAX_TERMS.  A row whose
     whole series overflows (_overflows) is refused first.
     """
     az = [abs(zeta) for zeta in zetas]
@@ -144,15 +147,15 @@ def _truncate(p: int, zetas: list, tail_tol: float) -> list:
     lengths = [_first_length(p, a, log_tol) for a in az]
     over = _overflows(p, az)
     out = [_leaves_double(p, a, math.inf) if o else None for a, o in zip(az, over)]
-    pending = sorted(np.flatnonzero(~over).tolist(), key=lengths.__getitem__)
+    pending = sorted([i for i, o in enumerate(over) if not o], key=lengths.__getitem__)
     while pending:
-        retry = []  # doubling every length keeps the ascending order
+        retry = []  # runs come in ascending length, so the retries stay sorted
         for rows in _runs(pending, lengths):
-            cut = _cut(p, [zetas[i] for i in rows], [az[i] for i in rows],
-                       [lengths[i] for i in rows], tail_tol)
+            top = lengths[rows[-1]]
+            cut = _cut(p, [zetas[i] for i in rows], [az[i] for i in rows], top, tail_tol)
             for row, item in zip(rows, cut):
                 if item is None:
-                    lengths[row] = min(2 * lengths[row], _MAX_TERMS)
+                    lengths[row] = min(2 * top, _MAX_TERMS)
                     retry.append(row)
                 else:
                     out[row] = item
@@ -160,35 +163,32 @@ def _truncate(p: int, zetas: list, tail_tol: float) -> list:
     return out
 
 
-def _cut(p: int, zetas: list, az: list, lengths: list, tail_tol: float) -> list:
-    """Truncate a run of rows of ascending lengths: per row a state, an error, or None.
+def _cut(p: int, zetas: list, az: list, top: int, tail_tol: float) -> list:
+    """Truncate a run of rows on one vector of top + 1 terms: per row a state, an error, or None.
 
     n_max is the smallest n whose tail bound is below tail_tol relative to the
-    partial sum (and absolutely, whichever is stricter).  Each row reads only
-    its own vector of lengths[i] + 1 terms, so no row's result depends on its
-    run.  None asks for a longer vector.  A vector whose last tail bound is 0
-    with no n passing has a test threshold that underflows (P^2 is 0 or
-    subnormal, as at p = 1, |zeta| = 1e-170) and no later term to lift it:
-    that is refused at once, not blamed on |zeta| -> 1.
+    partial sum (and absolutely, whichever is stricter).  Every value of a row
+    is its own (_series), so its first passing n, and its error, are the same
+    in any vector long enough to hold them.  None asks for a longer vector.  A
+    vector whose last tail bound is 0 with no n passing has a test threshold
+    that underflows (P^2 is 0 or subnormal, as at p = 1, |zeta| = 1e-170) and
+    no later term to lift it: that is refused at once, not blamed on
+    |zeta| -> 1.
     """
-    top = lengths[-1]
     log_terms, sums, tails = _series(p, az, top)
     passed = tails < tail_tol * np.minimum(1.0, sums)
-    if lengths[0] < top:
-        passed &= np.arange(top + 1) <= np.array(lengths)[:, None]
     cuts, errors = [], {}
     for i, n in enumerate(passed.argmax(axis=1).tolist()):
         if passed[i, n]:
             cuts.append((n, float(sums[i, n]), float(tails[i, n])))
             continue
         cuts.append(None)
-        own = lengths[i]
-        if tails[i, own] == 0.0:
+        if tails[i, top] == 0.0:
             errors[i] = ParameterError(
-                f"norm series underflows at p = {p}, |zeta| = {az[i]}: P^2 = {sums[i, own]:.3g} "
-                f"(largest log term {log_terms[i, : own + 1].max():.1f})"
+                f"norm series underflows at p = {p}, |zeta| = {az[i]}: P^2 = {sums[i, top]:.3g} "
+                f"(largest log term {log_terms[i].max():.1f})"
             )
-        elif own == _MAX_TERMS:
+        elif top == _MAX_TERMS:
             errors[i] = ParameterError(
                 f"norm series did not converge within {_MAX_TERMS} terms (|zeta| too close to 1?)"
             )
@@ -239,15 +239,21 @@ def _validate(p, tail_tol) -> int:
     return int(p)
 
 
-def _refusal(p: int, zeta: complex) -> ParameterError | None:
-    """The error build_state raises for zeta at a valid p and tail_tol, or None."""
+def _unsummed(p: int, zeta: complex):
+    """What build_state gives for zeta at a valid p and tail_tol without a series, or None.
+
+    That is the error of a NaN, divergent or zero-norm zeta, or the vacuum at
+    zeta = 0, p = 0; None asks for the norm series.
+    """
     az = abs(zeta)
     if math.isnan(az):
         return ParameterError(f"zeta must be a number, got {zeta}")
     if az >= 1.0:
         return DivergentState(f"|zeta| = {az} >= 1: the state norm diverges")
-    if az == 0.0 and p > 0:
-        return DegenerateState("zeta = 0 with p > 0 gives a zero-norm state")
+    if az == 0.0:
+        if p > 0:
+            return DegenerateState("zeta = 0 with p > 0 gives a zero-norm state")
+        return NonGaussianState(0, zeta, 0, np.array([1.0 + 0.0j]), 1.0, 0.0)
     return None
 
 
@@ -301,25 +307,20 @@ class NonGaussianState:
         return ManifoldDensityMatrix(self.p, self.n_max, rho)
 
 
-def _vacuum(zeta) -> NonGaussianState:
-    return NonGaussianState(0, zeta, 0, np.array([1.0 + 0.0j]), 1.0, 0.0)
-
-
 def build_states(p: int, zetas, tail_tol: float = DEFAULT_TAIL_TOL) -> list:
-    """[build_state(p, zeta, tail_tol) for zeta in zetas], bit for bit.
+    """The state of every zeta, truncated by the tail rule; build_state is this on one row.
 
     The norm series of all the zetas are truncated together, in 2-D blocks of
     at most _BLOCK_CELLS cells (rows sorted by the length of their first
     vector, each block as long as its longest row), and each block's
-    coefficients are computed at once.  Raises what build_state raises for the
-    first zeta it refuses; p and tail_tol are checked before any zeta.
+    coefficients are computed at once.  A row's bits are its own, the same
+    in any list, so the result is [build_state(p, zeta, tail_tol) for zeta in
+    zetas] bit for bit.  Raises what build_state raises for the first zeta it
+    refuses; p and tail_tol are checked before any zeta.
     """
     zetas = list(zetas)
     p = _validate(p, tail_tol)
-    out = [_refusal(p, zeta) for zeta in zetas]
-    for i, zeta in enumerate(zetas):
-        if out[i] is None and abs(zeta) == 0.0:
-            out[i] = _vacuum(zeta)
+    out = [_unsummed(p, zeta) for zeta in zetas]
     rows = [i for i, item in enumerate(out) if item is None]
     for i, item in zip(rows, _truncate(p, [zetas[i] for i in rows], tail_tol)):
         out[i] = item
@@ -338,31 +339,24 @@ def build_state(
     """Construct the normalized state.
 
     With the default arguments the truncation index is chosen so the
-    neglected tail mass is below tail_tol, which must lie in (0, 1); the
-    state is build_states(p, [zeta], tail_tol)[0], from the same _cut on a
-    run of one row.  Passing n_max forces an explicit truncation instead (useful
-    when a downstream dense computation must stay small); the achieved tail
-    bound is recorded either way.  Coefficients are renormalized over the
-    kept range, so sum |c_n|^2 = 1 exactly.  A kept series whose P^2 is not a
-    positive finite double (p = 150 at zeta = 0.9 overflows) raises
-    ParameterError.
+    neglected tail mass is below tail_tol, which must lie in (0, 1): the
+    state is build_states(p, [zeta], tail_tol)[0].  Passing n_max, an integer
+    in [0, _MAX_TERMS] (checked before zeta), forces an explicit truncation
+    instead (useful when a downstream dense computation must stay small); the
+    achieved tail bound is recorded either way.  Coefficients are
+    renormalized over the kept range, so sum |c_n|^2 = 1 exactly.  A kept
+    series whose P^2 is not a positive finite double (p = 150 at zeta = 0.9
+    overflows) raises ParameterError.
     """
+    if n_max is None:
+        return build_states(p, [zeta], tail_tol)[0]
     p = _validate(p, tail_tol)
-    error = _refusal(p, zeta)
-    if error is not None:
-        raise error
-    if abs(zeta) == 0.0:
-        return _vacuum(zeta)
-    if n_max is None:  # _truncate on one row, without its sorting and runs
-        az = abs(zeta)
-        if _overflows(p, [az])[0]:
-            raise _leaves_double(p, az, math.inf)
-        length = _first_length(p, az, math.log(tail_tol))
-        while (state := _cut(p, [zeta], [az], [length], tail_tol)[0]) is None:
-            length = min(2 * length, _MAX_TERMS)
-    elif n_max < 0:
-        raise ParameterError("n_max must be >= 0")
-    else:
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ParameterError(f"n_max must be an integer, got {n_max}")
+    if not 0 <= n_max <= _MAX_TERMS:
+        raise ParameterError(f"n_max must be in [0, {_MAX_TERMS}], got {n_max}")
+    state = _unsummed(p, zeta)
+    if state is None:
         log_terms, sums, tails = _series(p, [abs(zeta)], n_max)
         cut = (int(n_max), float(sums[0, n_max]), float(tails[0, n_max]))
         [state] = _states(p, [zeta], log_terms, [cut])

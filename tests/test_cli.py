@@ -1,6 +1,7 @@
 """Command-line interface: formats, validation, and deterministic output."""
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -584,6 +585,36 @@ def test_sweep_error_paths(tmp_path):
     cfg.write_bytes(b"\xff[grid]\nzeta = 0.4\n")
     assert run_cli("sweep", "--config", str(cfg), "--out", out) == 2
     assert not os.path.exists(out)
+
+
+def test_sweep_grid_above_the_cap_is_refused_before_expanding(tmp_path, capsys, monkeypatch):
+    # three 1000-value axes (10^9 points) used to die in the grid expansion
+    # with a MemoryError traceback, exit 1
+    def no_product(*args):
+        raise AssertionError("the grid was expanded")
+
+    axis = ", ".join(f"{(i + 1) * 1e-4:.4e}" for i in range(1000))
+    cfg = sweep_config(tmp_path, f"[grid]\nzeta = {axis}\ntemperature = {axis}\nepsilon = {axis}\n")
+    monkeypatch.setattr(itertools, "product", no_product)
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"sweep grid has 1000000000 points; at most {cli.MAX_SWEEP_POINTS} are allowed" in err
+    assert not out.exists()
+
+
+def test_sweep_grid_at_the_cap_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 4)
+    out = tmp_path / "x.csv"
+    body = "[grid]\nzeta = 0.2, 0.4\np = 0, {}\n[output]\nobservables = negativity\n"
+    assert run_cli("sweep", "--config", sweep_config(tmp_path, body.format("1")),
+                   "--out", str(out)) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+    out.unlink()
+    assert run_cli("sweep", "--config", sweep_config(tmp_path, body.format("1, 2")),
+                   "--out", str(out)) == 2
+    assert "sweep grid has 6 points; at most 4 are allowed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_refuses_the_difference_coupling_key(tmp_path, capsys):

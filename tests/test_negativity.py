@@ -18,7 +18,6 @@ from ngfiber.negativity import (
     negativity_analytic,
     negativity_fock,
     negativity_numeric,
-    ppt_spectrum_analytic,
 )
 from ngfiber.states import build_state, embed_density_matrix
 
@@ -70,12 +69,29 @@ def test_phase_of_squeezing_is_irrelevant():
     )
 
 
+def pair_spectrum(state):
+    """Partial-transpose spectrum of a pure manifold state from its pair structure.
+
+    (diagonal, pairs, magnitudes): the 1x1 blocks |c_n|^2, the pairs (n, m)
+    with n < m, and their |c_n||c_m|, each giving eigenvalues +mag and -mag.
+    """
+    a = state.abs_coeffs()
+    pairs = np.column_stack(np.triu_indices(state.n_max + 1, k=1))
+    return a * a, pairs, a[pairs[:, 0]] * a[pairs[:, 1]]
+
+
+def pair_eigenvalues(state):
+    """All eigenvalues of the pair spectrum, sorted ascending (the embedding's zeros omitted)."""
+    diagonal, _, mags = pair_spectrum(state)
+    return np.sort(np.concatenate([diagonal, mags, -mags]))
+
+
 def test_ppt_spectrum_matches_dense_eigenvalues():
     state = build_state(1, 0.5, n_max=4)
-    spec = ppt_spectrum_analytic(state)
+    diagonal, pairs, mags = pair_spectrum(state)
     a = np.abs(state.coeffs)
-    assert_allclose(spec.diagonal, a * a, rtol=0, atol=1e-15)
-    for (n, m), mag in zip(spec.pair_indices, spec.pair_magnitudes):
+    assert_allclose(diagonal, a * a, rtol=0, atol=1e-15)
+    for (n, m), mag in zip(pairs, mags):
         assert n < m
         assert_allclose(mag, a[n] * a[m], rtol=0, atol=1e-15)
 
@@ -83,9 +99,9 @@ def test_ppt_spectrum_matches_dense_eigenvalues():
     full = embed_density_matrix(state.density_matrix(), space)
     dense = np.linalg.eigvalsh(partial_transpose(FockOperator(space, full)).matrix)
     nonzero = dense[np.abs(dense) > 1e-13]
-    assert_allclose(np.sort(nonzero), spec.eigenvalues(), rtol=0, atol=1e-13)
+    assert_allclose(np.sort(nonzero), pair_eigenvalues(state), rtol=0, atol=1e-13)
     # eigenvalue content reproduces the series value
-    eigs = spec.eigenvalues()
+    eigs = pair_eigenvalues(state)
     assert_allclose(
         np.abs(eigs).sum() - eigs.sum(), negativity_analytic(state), rtol=1e-13
     )
@@ -168,7 +184,7 @@ def test_block_spectrum_matches_dense_and_analytic(p, zeta, n_max):
     nonzero = np.sort(dense[np.abs(dense) > 1e-13])
     assert blocked.size == nonzero.size == (n_max + 1) ** 2
     assert_allclose(blocked, nonzero, rtol=0, atol=1e-13)
-    assert_allclose(blocked, ppt_spectrum_analytic(state).eigenvalues(), rtol=0, atol=1e-13)
+    assert_allclose(blocked, pair_eigenvalues(state), rtol=0, atol=1e-13)
 
 
 @st.composite

@@ -140,6 +140,40 @@ def test_series_matches_lgamma_scan_near_unit_squeezing(p, zeta, tail_tol):
     assert_matches_lgamma_scan(p, zeta, tail_tol)
 
 
+def retries(p, zeta, tail_tol, n_max):
+    """Whether the tail rule's first vector for zeta falls short of n_max."""
+    return states._first_length(p, abs(zeta), math.log(tail_tol)) < n_max
+
+
+@pytest.mark.parametrize(
+    "p, zeta, tail_tol",
+    [(30, 0.9, 1e-12), (30, 0.8 * cmath.exp(2j), 1e-12), (100, 0.95, 1e-12), (100, -0.5j, 1e-12),
+     (100, 0.83, 1e-12), (10, 0.9, 1e-3)],
+)
+def test_series_matches_lgamma_scan_after_a_retry(p, zeta, tail_tol):
+    # at large p the first vector falls short (p = 30, zeta = 0.9: 1050 terms
+    # for n_max 1109; p = 100, zeta = 0.95: 7196 for 9082), so these states
+    # come from the doubled vector of a second run
+    state = build_state(p, zeta, tail_tol)
+    assert retries(p, zeta, tail_tol, state.n_max)
+    assert_matches_lgamma_scan(p, zeta, tail_tol, state)
+
+
+@pytest.mark.parametrize("p", [30, 100])
+def test_build_states_mixes_retried_and_one_pass_rows(p):
+    # a small cell cap puts the rows in many runs; a retried row goes to a
+    # later run at twice its run's length, next to rows of other lengths
+    zetas = [0.9, 0.3, -0.6j, 0.05, 0.83, 0.5, 0.7 * cmath.exp(0.4j), 0.2, 0.9, 0.75]
+    with mock.patch.object(states, "_BLOCK_CELLS", 3000):
+        got = build_states(p, zetas)
+    retried = [retries(p, zeta, 1e-12, state.n_max) for zeta, state in zip(zetas, got)]
+    assert any(retried) and not all(retried)
+    for zeta, state, again in zip(zetas, got, retried):
+        assert_same_state(state, build_state(p, zeta))
+        if again:
+            assert_matches_lgamma_scan(p, zeta, 1e-12, state)
+
+
 def assert_same_state(got: NonGaussianState, want: NonGaussianState):
     assert (got.p, got.zeta, got.n_max) == (want.p, want.zeta, want.n_max)
     assert got.coeffs.dtype == want.coeffs.dtype
@@ -325,6 +359,27 @@ def test_invalid_parameters():
         normalization(1, 0.5, tail_tol=0.0)
     with pytest.raises(ParameterError):
         build_state(1, 0.5, n_max=-2)
+
+
+@pytest.mark.parametrize(
+    "n_max", [2.5, True, math.nan, math.inf, np.float64(3.0), "3", [3], -1,
+              states._MAX_TERMS + 1, 10**9, np.int64(10**9)],
+)
+def test_bad_n_max_is_refused_before_summing(n_max):
+    # 2.5 used to raise IndexError, True TypeError and nan ValueError, and
+    # 10^9 asked for 7.45 GiB per array before it failed
+    def no_series(*args):
+        raise AssertionError("_series ran")
+
+    with mock.patch.object(states, "_series", no_series):
+        for p, zeta in ((1, 0.5), (0, 0.0), (1, 1.5)):
+            with pytest.raises(ParameterError, match="^n_max must be"):
+                build_state(p, zeta, n_max=n_max)
+
+
+def test_numpy_integer_n_max_builds_the_same_state():
+    assert_same_state(build_state(2, 0.4, n_max=np.int64(7)), build_state(2, 0.4, n_max=7))
+    assert build_state(1, 0.5, n_max=states._MAX_TERMS).n_max == states._MAX_TERMS
 
 
 def test_coefficient_vector_length_is_checked():
