@@ -1,13 +1,14 @@
 """Thermal phonon statistics and Ohmic-bath dissipation rates.
 
-Two bath effects enter the fiber channel: a thermally weighted phase spread
-(captured by visibility factors over the Gibbs distribution of a
-representative phonon mode, cut where the Gibbs mass left out falls below
-GIBBS_TAIL_TOL = 1e-12) and a dissipative decay rate, the integral of an
-Ohmic memory kernel with exponential cutoff against the accumulated phase
-filter 2 sin^2(omega tau / 2) / omega^2.  The rate is evaluated in closed
-form at any temperature (dissipation_rate); the panel quadrature of the
-integral (dissipation_rate_quadrature) is kept as an independent oracle.
+Two bath effects enter the fiber channel: a thermal phase spread, the mean
+of a phase over the Gibbs distribution of a representative phonon mode, and
+a dissipative decay rate, the integral of an Ohmic memory kernel with
+exponential cutoff against the accumulated phase filter
+2 sin^2(omega tau / 2) / omega^2.  Both are evaluated in closed form at any
+temperature (gibbs_phase_mean, dissipation_rate).  Each keeps an independent
+oracle: the direct sum over the Gibbs levels (visibility_direct), cut where
+the mass left out falls below GIBBS_TAIL_TOL = 1e-18, and the panel
+quadrature of the integral (dissipation_rate_quadrature).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     ZeroTemperature,
 )
 
-GIBBS_TAIL_TOL = 1e-12  # Gibbs mass left out by the level cut
+GIBBS_TAIL_TOL = 1e-18  # Gibbs mass left out by the oracle's level cut
 _MAX_PANELS = 2**20  # quadrature refuses more: 32-node panels, 256 MiB per float64 array
 _gauss_legendre = functools.cache(leggauss)  # the quadrature's two orders; 0.8 ms to rebuild
 _RATE_HEAD = 16  # reduced-cutoff terms summed directly before the trigamma tail
@@ -66,13 +67,10 @@ class BathSpec:
             return 0.0
         return math.exp(-HBAR * self.omega_phonon / (K_B * self.temperature))
 
-
-def _gibbs_levels(bath: BathSpec):
-    """(q, s_max): Boltzmann ratio and the smallest cut with q^(s_max+1) < GIBBS_TAIL_TOL."""
-    q = bath.boltzmann_ratio()
-    if q == 0.0:
-        return q, 0
-    return q, max(0, math.ceil(math.log(GIBBS_TAIL_TOL) / math.log(q)) - 1)
+    def mean_occupation(self) -> float:
+        """Mean occupation q / (1-q), 1 - q taken as -expm1(-hbar Omega / kB T); 0 at T = 0."""
+        beta = HBAR * self.omega_phonon / (K_B * self.temperature) if self.temperature else math.inf
+        return math.exp(-beta) / -math.expm1(-beta)
 
 
 def gibbs_weights(bath: BathSpec):
@@ -80,14 +78,25 @@ def gibbs_weights(bath: BathSpec):
 
     Returns (weights, s_max).  The zero-point energy cancels in the ratio, so
     p_s is geometric: p_s = (1-q) q^s with q = exp(-hbar Omega / kB T).  The
-    cut keeps the neglected mass below GIBBS_TAIL_TOL; weights are rescaled
-    to sum to one exactly.
+    cut is the smallest s_max whose left-out mass q^(s_max+1) is below
+    GIBBS_TAIL_TOL; weights are rescaled to sum to one exactly.
     """
-    q, s_max = _gibbs_levels(bath)
-    s = np.arange(s_max + 1)
-    w = (1.0 - q) * q ** s
+    q = bath.boltzmann_ratio()
+    s_max = 0 if q == 0.0 else max(0, math.ceil(math.log(GIBBS_TAIL_TOL) / math.log(q)) - 1)
+    w = (1.0 - q) * q ** np.arange(s_max + 1)
     w /= w.sum()
     return w, s_max
+
+
+def gibbs_phase_mean(n_bar: float, phi) -> np.ndarray:
+    """sum_s p_s exp(-i phi s) over the whole Gibbs distribution, elementwise in phi.
+
+    (1-q) / (1 - q e^(-i phi)) = 1 / (1 - n_bar expm1(-i phi)), n_bar from
+    BathSpec.mean_occupation.  The denominator's real part is
+    1 + n_bar (1 - cos phi) >= 1, so nothing cancels; phi = 0 or n_bar = 0
+    (T = 0) gives exactly 1.
+    """
+    return 1.0 / (1.0 - n_bar * np.expm1(-1j * np.asarray(phi, dtype=float)))
 
 
 def visibility_direct(bath: BathSpec, x: float, k: int) -> float:
@@ -100,23 +109,12 @@ def visibility_direct(bath: BathSpec, x: float, k: int) -> float:
 
 
 def visibility_closed(bath: BathSpec, x: float, k: int) -> float:
-    """Closed form of the thermal visibility.
-
-    v = (1/2Z) / |sinh(hbar Omega / 2 kB T + i x k)| with the partition
-    function Z = 1 / (2 sinh(hbar Omega / 2 kB T)); using
-    |sinh(a+ib)|^2 = sinh^2 a + sin^2 b this is evaluated in the
-    overflow-safe form 1 / sqrt(1 + (sin(xk)/sinh(a))^2).  Periodic in x
-    with period pi/|k|.
-    """
+    """|gibbs_phase_mean| at phi = 2 x k, the channels' thermal mean; period pi/|k| in x."""
     if k == 0:
         raise ZeroModeDifference("visibility requires k != 0")
     if bath.temperature == 0.0:
         raise ZeroTemperature("closed-form visibility is written for T > 0")
-    a = HBAR * bath.omega_phonon / (2.0 * K_B * bath.temperature)
-    if a > 300.0:  # sinh overflows; the ratio is 1 to better than 1e-260
-        return 1.0
-    ratio = math.sin(x * k) / math.sinh(a)
-    return 1.0 / math.sqrt(1.0 + ratio * ratio)
+    return float(abs(gibbs_phase_mean(bath.mean_occupation(), 2.0 * x * k)))
 
 
 def ohmic_memory(omega, omega_c: float):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _gibbs_levels, dissipation_rate
+from .bath import BathSpec, dissipation_rate, gibbs_phase_mean
 from .errors import DimensionBudgetExceeded, ParameterError, ZeroFrequency
 from .states import _BLOCK_CELLS, ManifoldDensityMatrix, NonGaussianState
 
@@ -62,15 +62,11 @@ class ChannelParams:
 
 
 def _thermal_phase_means(n_max: int, params: ChannelParams, bath: BathSpec) -> np.ndarray:
-    """d[k] = sum_{s<=S} p_s exp(-2 i tau_l gamma_plus s k) for k = 0..n_max; d[0] = 1.
+    """d[k] = sum_s p_s exp(-2 i tau_l gamma_plus s k) over every level s, k = 0..n_max.
 
-    With the weights of gibbs_weights (cut at S = s_max, renormalized) this is
-    a geometric sum: d_k = (1-q)(1-(q z)^(S+1)) / ((1-q^(S+1))(1-q z)) with
-    z = exp(-2 i tau_l gamma_plus k); each 1 - e^(..) is an expm1, exact as q, z -> 1.
-    The row is read-only: see _thermal_row.
+    gibbs_phase_mean at phi = 2 tau_l gamma_plus k, read-only: see _thermal_row.
     """
-    q, s_max = _gibbs_levels(bath)
-    return _thermal_row(n_max, 2.0 * params.tau_l * params.gamma_plus, q, s_max)
+    return _thermal_row(n_max, 2.0 * params.tau_l * params.gamma_plus, bath.mean_occupation())
 
 
 # One row is kept: the observables of one sweep point (negativity_after_dephasing,
@@ -78,17 +74,12 @@ def _thermal_phase_means(n_max: int, params: ChannelParams, bath: BathSpec) -> n
 # n_max ~ 2e4 and T > 0, building it three times made a 64-point sweep 25 %
 # slower.  The row is read-only because every caller gets the same array.
 @functools.lru_cache(maxsize=1)
-def _thermal_row(n_max: int, step: float, q: float, s_max: int) -> np.ndarray:
+def _thermal_row(n_max: int, step: float, n_bar: float) -> np.ndarray:
     """_thermal_phase_means with phi_k = step k, as a read-only array."""
-    if q == 0.0:
+    if n_bar == 0.0:  # T = 0: every mean is 1; the closed form costs 5-40x more
         d = np.ones(n_max + 1, dtype=complex)
     else:
-        beta, levels = -math.log(q), s_max + 1
-        phi = step * np.arange(n_max + 1)
-        one_q = -math.expm1(-beta)
-        numer = one_q * -np.expm1(-levels * (beta + 1j * phi))
-        d = numer / (-math.expm1(-levels * beta) * (one_q - q * np.expm1(-1j * phi)))
-        d[0] = 1.0  # the quotient of equal numbers can round one ulp off
+        d = gibbs_phase_mean(n_bar, step * np.arange(n_max + 1))
     d.flags.writeable = False
     return d
 
@@ -132,9 +123,10 @@ def evolve_dephasing(
     """Thermally averaged dephasing of the pure manifold state.
 
     rho_nm = c_n c_m^* sum_s p_s exp(-i tau_l [omega_total + 2 gamma_plus s]
-    (n - m)).  The diagonal is untouched; coherences acquire the thermal
-    visibility.  gamma_minus does not appear: the difference coupling is
-    constant on the manifold and cancels between bra and ket.
+    (n - m)), the sum over every Gibbs level taken in closed form
+    (gibbs_phase_mean).  The diagonal is untouched; coherences acquire the
+    thermal visibility.  gamma_minus does not appear: the difference coupling
+    is constant on the manifold and cancels between bra and ket.
     """
     return _manifold_rho(state, params, bath, _thermal_phase_means)
 
@@ -143,10 +135,10 @@ def fidelity(state: NonGaussianState, params: ChannelParams, bath: BathSpec) -> 
     """Overlap <psi| rho(tau_l) |psi> after thermal dephasing.
 
     Equals sum_s p_s |sum_n |c_n|^2 exp(-i tau_l n (omega_total +
-    2 gamma_plus s))|^2 = B_0 + 2 sum_{k>=1} B_k Re(phi_k d_k), B the
-    autocorrelation of |c|^2 (cached on the state, so O(n_max) after its
-    first use); bounded by 1, reaching it whenever every relative phase
-    winds by a multiple of 2 pi.
+    2 gamma_plus s))|^2 = B_0 + 2 sum_{k>=1} B_k Re(phi_k d_k), d_k the
+    closed-form Gibbs mean of evolve_dephasing and B the autocorrelation of
+    |c|^2 (cached on the state, so O(n_max) after its first use); bounded by
+    1, reaching it whenever every relative phase winds by a multiple of 2 pi.
     """
     b = state._pop_autocorr
     d = np.exp(-1j * (params.tau_l * params.omega_total) * np.arange(state.n_max + 1))
@@ -184,9 +176,9 @@ def negativity_after_dephasing(
 ) -> float:
     """Negativity of the dephased state from its coherence magnitudes.
 
-    N = 2 sum_{n<m} |c_n||c_m| v_{m-n}, where v_k is the thermal visibility
-    at x = tau_l gamma_plus.  Uses the same truncated Gibbs weights as
-    evolve_dephasing, so it matches the eigensolver route exactly.
+    N = 2 sum_{n<m} |c_n||c_m| v_{m-n}, where v_k = visibility_closed(bath,
+    tau_l gamma_plus, k) is the modulus of the closed-form Gibbs mean that
+    evolve_dephasing uses, so it matches the eigensolver route on that matrix.
     """
     return _negativity(state, _thermal_phase_means(state.n_max, params, bath))
 

@@ -94,8 +94,9 @@ def write_table(args, header, rows, title: str) -> None:
     _write(args.out, text)
     if args.emit_plot_script:
         data_name = os.path.basename(args.out)
+        quoted = data_name.replace("'", "''")  # gnuplot's escape inside single quotes
         plots = ", ".join(
-            f"'{data_name}' using 1:{i + 2} with lines" for i in range(len(header) - 1)
+            f"'{quoted}' using 1:{i + 2} with lines" for i in range(len(header) - 1)
         )
         lines = [
             f"# gnuplot script for {data_name}",
@@ -332,8 +333,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "emit_plot_script", False) and args.format != "csv":
-            raise ParameterError("--emit-plot-script needs --format csv")
+        if getattr(args, "emit_plot_script", False):
+            if args.format != "csv":
+                raise ParameterError("--emit-plot-script needs --format csv")
+            # a line break would end the script's comment line and run the rest as a command
+            if any(c in os.path.basename(args.out) for c in "\r\n"):
+                raise ParameterError("--emit-plot-script needs an --out name without line breaks")
         return args.func(args)
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")

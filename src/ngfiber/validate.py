@@ -27,6 +27,7 @@ from .bath import (
 from .channel import ChannelParams, fidelity, negativity_after_dephasing, evolve_dephasing
 from .constants import HBAR, K_B
 from .design import FiberSpec, spacing_report
+from .errors import ParameterError
 from .fock import FockSpace, annihilation, phase_shifter
 from .negativity import negativity_analytic, negativity_numeric
 from .states import build_state
@@ -223,7 +224,7 @@ FULL_CHECKS = FAST_CHECKS + (
 def run(level: str = "fast"):
     """Run the consistency suite; returns a list of CheckResult."""
     if level not in ("fast", "full"):
-        raise ValueError("level must be 'fast' or 'full'")
+        raise ParameterError(f"level must be 'fast' or 'full', got {level!r}")
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
     results = [check() for check in checks]
     return [CheckResult(r.name, bool(r.passed), r.detail) for r in results]

@@ -17,6 +17,7 @@ from ngfiber.bath import (
     dissipation_rate,
     dissipation_rate_closed,
     dissipation_rate_quadrature,
+    gibbs_phase_mean,
     gibbs_weights,
     ohmic_memory,
     visibility_closed,
@@ -76,6 +77,36 @@ def test_gibbs_weights_ground_state_at_zero_temperature():
     w, s_max = gibbs_weights(make_bath(0.0))
     assert s_max == 0
     assert_allclose(w, [1.0], rtol=0, atol=0)
+
+
+def untruncated_gibbs_mean(bath, phi):
+    """sum_s p_s exp(-i phi s) in long double, cut where the mass left out is below 1e-30."""
+    beta = np.longdouble(HBAR) * np.longdouble(bath.omega_phonon) / (
+        np.longdouble(K_B) * np.longdouble(bath.temperature)
+    )
+    q = np.exp(-beta)
+    s = np.arange(math.ceil(math.log(1e-30) / math.log(float(q))), dtype=np.longdouble)
+    w = (1 - q) * q**s
+    w /= w.sum()
+    phases = np.multiply.outer(np.asarray(phi, dtype=np.longdouble), s)
+    return (np.cos(phases) @ w).astype(float) - 1j * (np.sin(phases) @ w).astype(float)
+
+
+@pytest.mark.parametrize("temp", [1e-3, 0.05, 0.2, 4.0, 300.0])
+def test_gibbs_phase_mean_matches_the_untruncated_sum(temp):
+    bath = make_bath(temp)
+    phi = np.concatenate([[0.0], np.logspace(-6.0, 3.0, 19)])
+    closed = gibbs_phase_mean(bath.mean_occupation(), phi)
+    assert closed[0] == 1.0
+    # plus the reference's own rounding over up to 1e5 levels, where long double is double
+    tol = 1e-15 + 300 * np.finfo(np.longdouble).eps
+    assert np.max(np.abs(closed - untruncated_gibbs_mean(bath, phi))) <= tol
+
+
+def test_gibbs_phase_mean_is_one_at_zero_temperature():
+    bath = make_bath(0.0)
+    assert bath.mean_occupation() == 0.0
+    assert np.array_equal(gibbs_phase_mean(0.0, [0.0, 0.3, 1e9]), np.ones(3))
 
 
 def test_visibility_routes_agree():

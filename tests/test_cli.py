@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngfiber import cli, states
+from ngfiber import cli, states, validate
 from ngfiber.bath import BathSpec
 from ngfiber.channel import (
     ChannelParams,
@@ -28,7 +28,7 @@ from ngfiber.channel import (
 )
 from ngfiber.config import _FIXED_DEFAULTS
 from ngfiber.design import silica_preset
-from ngfiber.errors import TruncationTooSmall
+from ngfiber.errors import ParameterError, TruncationTooSmall
 from ngfiber.negativity import negativity_analytic
 from ngfiber.states import build_state
 from ngfiber.validate import CheckResult
@@ -123,6 +123,14 @@ def test_plot_script_text(tmp_path, monkeypatch, argv, script):
     )
 
 
+def test_plot_script_doubles_quotes_in_the_data_name(tmp_path):
+    out = tmp_path / "it's.csv"
+    assert run_cli("fig1", "--out", str(out), "--steps", "3", "--emit-plot-script") == 0
+    script = (tmp_path / "it's.csv.gp").read_text(encoding="utf-8")
+    assert script.startswith("# gnuplot script for it's.csv\n")
+    assert script.endswith("plot 'it''s.csv' using 1:2 with lines\n")
+
+
 @pytest.mark.parametrize("argv", [["fig1"], ["fig2"], ["sweep", "--config", "two.cfg"]])
 def test_plot_script_with_json_is_refused_up_front(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -133,9 +141,16 @@ def test_plot_script_with_json_is_refused_up_front(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(cli, "build_state", explode)
     monkeypatch.setattr(cli, "build_states", explode)
-    code = run_cli(*argv, "--out", "t.json", "--format", "json", "--emit-plot-script")
-    assert code == 2  # refused before any state build, which would exit 3
-    assert "--emit-plot-script needs --format csv" in capsys.readouterr().err
+    # JSON is refused, and so is a data name with a line break, which would end
+    # the script's comment line
+    for flags, message in (
+        (["--out", "t.json", "--format", "json"], "--emit-plot-script needs --format csv"),
+        (["--out", "a\nplot.csv"], "without line breaks"),
+        (["--out", "a\rplot.csv"], "without line breaks"),
+    ):
+        code = run_cli(*argv, *flags, "--emit-plot-script")
+        assert code == 2  # refused before any state build, which would exit 3
+        assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["two.cfg"]
 
 
@@ -436,6 +451,11 @@ def test_validate_reports_failure(monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_validate_refuses_an_unknown_level():
+    with pytest.raises(ParameterError, match="got 'bogus'"):
+        validate.run("bogus")
+
+
 def test_numerical_failures_exit_three(monkeypatch, tmp_path):
     def explode(*args, **kwargs):
         raise TruncationTooSmall("synthetic numerical failure")
@@ -576,6 +596,9 @@ def test_sweep_error_paths(tmp_path):
     assert run_cli("sweep", "--config", cfg, "--out", out) == 2
     # unknown axis
     cfg = sweep_config(tmp_path, "[grid]\nomega_a = 1, 2\n", "badaxis.cfg")
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    # an empty observable list
+    cfg = sweep_config(tmp_path, "[grid]\nzeta = 0.4\n[output]\nobservables = ,\n", "noobs.cfg")
     assert run_cli("sweep", "--config", cfg, "--out", out) == 2
     # invalid worker count
     cfg = sweep_config(tmp_path, "[grid]\nzeta = 0.4\n", "one.cfg")

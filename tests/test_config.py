@@ -100,6 +100,8 @@ def test_runconfig_rejects_unknown_names():
         RunConfig.from_text("[grid]\nomega_c = 1, 2\n")  # not a sweep axis
     with pytest.raises(ParameterError):
         RunConfig.from_text("[output]\nobservables = entropy\n")
+    with pytest.raises(ParameterError, match="at least one observable"):
+        RunConfig.from_text("[output]\nobservables = ,\n")
     with pytest.raises(ParameterError):
         RunConfig.from_text("[mystery]\nx = 1\n")
 

@@ -173,6 +173,9 @@ def test_operator_shape_mismatch():
     space = FockSpace(2)
     with pytest.raises(ParameterError):
         FockOperator(space, np.eye(space.dim + 1, dtype=complex))
+    other = FockSpace(3)
+    with pytest.raises(ParameterError, match="different spaces"):
+        annihilation(space, "a") @ annihilation(other, "a")
 
 
 def test_expm_diagonal_phases():

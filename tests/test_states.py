@@ -427,6 +427,8 @@ def test_density_matrix_validation_catches_defects():
     )
     with pytest.raises(ParameterError):
         not_psd.validate()
+    with pytest.raises(ParameterError, match="rho must be"):
+        ManifoldDensityMatrix(1, 1, np.eye(3, dtype=complex))
 
 
 def spectrum_matrix(eigs: np.ndarray, seed: int) -> np.ndarray:
