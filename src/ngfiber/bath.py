@@ -8,7 +8,8 @@ exponential cutoff against the accumulated phase filter
 temperature (gibbs_phase_mean, dissipation_rate).  Each keeps an independent
 oracle: the direct sum over the Gibbs levels (visibility_direct), cut where
 the mass left out falls below GIBBS_TAIL_TOL = 1e-18, and the panel
-quadrature of the integral (dissipation_rate_quadrature).
+quadrature of the integral (dissipation_rate_quadrature).  A temperature
+whose kB T underflows to 0 counts as T = 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .constants import HBAR, K_B
 from .errors import (
+    GibbsLevelsExceeded,
     ParameterError,
     QuadratureNonConvergence,
     ZeroModeDifference,
@@ -29,6 +31,7 @@ from .errors import (
 )
 
 GIBBS_TAIL_TOL = 1e-18  # Gibbs mass left out by the oracle's level cut
+GIBBS_MAX_LEVELS = 2**22  # the oracle refuses more: 32 MiB per array, ~2e4 K at 2.62e10 rad/s
 _MAX_PANELS = 2**20  # quadrature refuses more: 32-node panels, 256 MiB per float64 array
 _gauss_legendre = functools.cache(leggauss)  # the quadrature's two orders; 0.8 ms to rebuild
 _RATE_HEAD = 16  # reduced-cutoff terms summed directly before the trigamma tail
@@ -61,15 +64,18 @@ class BathSpec:
                 "exp(-hbar Omega / kB T) rounds to 1"
             )
 
+    def _level_over_kt(self) -> float:
+        """hbar Omega / kB T; +inf where kB T is 0, at T = 0 or where it underflows."""
+        kt = K_B * self.temperature
+        return HBAR * self.omega_phonon / kt if kt else math.inf
+
     def boltzmann_ratio(self) -> float:
-        """exp(-hbar Omega / kB T), the Gibbs weight ratio between levels."""
-        if self.temperature == 0.0:
-            return 0.0
-        return math.exp(-HBAR * self.omega_phonon / (K_B * self.temperature))
+        """exp(-hbar Omega / kB T), the Gibbs weight ratio between levels; 0 at T = 0."""
+        return math.exp(-self._level_over_kt())
 
     def mean_occupation(self) -> float:
         """Mean occupation q / (1-q), 1 - q taken as -expm1(-hbar Omega / kB T); 0 at T = 0."""
-        beta = HBAR * self.omega_phonon / (K_B * self.temperature) if self.temperature else math.inf
+        beta = self._level_over_kt()
         return math.exp(-beta) / -math.expm1(-beta)
 
 
@@ -79,10 +85,13 @@ def gibbs_weights(bath: BathSpec):
     Returns (weights, s_max).  The zero-point energy cancels in the ratio, so
     p_s is geometric: p_s = (1-q) q^s with q = exp(-hbar Omega / kB T).  The
     cut is the smallest s_max whose left-out mass q^(s_max+1) is below
-    GIBBS_TAIL_TOL; weights are rescaled to sum to one exactly.
+    GIBBS_TAIL_TOL; weights are rescaled to sum to one exactly.  More than
+    GIBBS_MAX_LEVELS levels are refused before any array is allocated.
     """
     q = bath.boltzmann_ratio()
     s_max = 0 if q == 0.0 else max(0, math.ceil(math.log(GIBBS_TAIL_TOL) / math.log(q)) - 1)
+    if s_max + 1 > GIBBS_MAX_LEVELS:
+        raise GibbsLevelsExceeded(f"{s_max + 1} Gibbs levels exceed the cap of {GIBBS_MAX_LEVELS}")
     w = (1.0 - q) * q ** np.arange(s_max + 1)
     w /= w.sum()
     return w, s_max
@@ -250,7 +259,7 @@ def dissipation_rate_quadrature(bath: BathSpec, tau_l: float) -> float:
     if tau_l == 0.0:
         return 0.0
     wc = bath.omega_c
-    temp = bath.temperature
+    temp = bath.temperature if K_B * bath.temperature else 0.0  # kB T underflows: T = 0 route
 
     def integrand(omega):
         out = _coth_factor(omega, temp)

@@ -16,10 +16,10 @@ Every output file goes through _write (UTF-8, \\n line endings).
 Tables are evaluated through the public library API, each row with the bits
 of its one-row library call: fig1 builds its states with build_states, a
 chunk of rows at a time, and fig2 its decay rows with
-channel.timing_negativities.  sweep evaluates its points one after another in
-grid order, in the calling thread, through negativity_after_dephasing,
-negativity_dissipative and fidelity; --jobs is still parsed but changes
-nothing.
+channel.timing_negativities.  sweep walks its grid once, in grid order and in
+the calling thread: each point is built, evaluated through
+negativity_after_dephasing, negativity_dissipative and fidelity, and
+formatted as it is reached.  --jobs is still parsed but changes nothing.
 
 Exit codes: 0 success, 2 parameter/config validation, 3 numerical failure,
 4 validation-suite failure.  All tabular output is deterministic: rerunning
@@ -62,8 +62,8 @@ EXIT_VALIDATION = 4
 # 12 s and 0.3 GB, fig2 about 6 s and 0.5 GB.
 MAX_STEPS = 1_000_000
 # Most points a sweep grid may hold; the product of its axis lengths is checked
-# before the grid is expanded.  At T = 0, p = 1 and three observables a point
-# takes about 23 us on a 2-CPU x86-64 machine, so 10^6 points is about 23 s.
+# before the grid is walked.  At T = 0, p = 1 and four observables 10^6 points
+# take 15-26 s and peak at 0.41 GB on a shared 2-CPU x86-64 machine.
 MAX_SWEEP_POINTS = 1_000_000
 # fig1 builds its states this many rows at a time, so that one chunk of states
 # (about 1 kB each plus 16 B per coefficient), not the whole table, is alive
@@ -180,34 +180,6 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION
 
 
-def _sweep_inputs(run: RunConfig, assignments: list) -> list:
-    """(state, bath, channel) of every grid point, in grid order.
-
-    Each distinct (p, zeta, tail_tol) state is built once and shared by the
-    points that use it, so its autocorrelations are computed once too.
-    """
-    states = {}
-    inputs = []
-    for assignment in assignments:
-        v = {**run.fixed, **assignment}
-        key = (v["p"], v["zeta"], v["tail_tol"])
-        if key not in states:
-            states[key] = build_state(*key)
-        bath = BathSpec(
-            omega_phonon=v["omega_phonon"], temperature=v["temperature"], omega_c=v["omega_c"]
-        )
-        channel = ChannelParams(
-            omega_a=v["omega_a"],
-            omega_b=v["omega_b"],
-            gamma_plus=v["gamma_plus"],
-            gamma_minus=0.0,
-            tau_l=v["tau_l"],
-            epsilon=v["epsilon"],
-        )
-        inputs.append((states[key], bath, channel))
-    return inputs
-
-
 def _sweep_point(observables: tuple, state, bath: BathSpec, channel: ChannelParams) -> list:
     values = []
     for name in observables:
@@ -225,11 +197,12 @@ def _sweep_point(observables: tuple, state, bath: BathSpec, channel: ChannelPara
 def cmd_sweep(args) -> int:
     """Evaluate the config's observables on its grid; write one row per point in grid order.
 
-    The points' states, baths and channels are built first, in grid order,
-    each distinct state once, so a bad point is refused before any is
-    evaluated; the states stay alive until the sweep ends.  The points are
-    then evaluated in grid order in the calling thread.  --jobs is checked
-    but changes nothing.
+    The grid is walked once, in the calling thread: each point's bath and
+    channel are built, its observables evaluated and its row handed to
+    write_table as it is reached.  Each distinct (p, zeta, tail_tol) state is
+    built once and stays alive until the sweep ends.  write_table joins the
+    whole text before it opens --out, so a bad point anywhere in the grid is
+    refused with no file written.  --jobs is checked but changes nothing.
     """
     if args.jobs < 1:
         raise ParameterError("jobs must be >= 1")
@@ -248,18 +221,28 @@ def cmd_sweep(args) -> int:
         raise ParameterError(
             f"sweep grid has {points} points; at most {MAX_SWEEP_POINTS} are allowed"
         )
-    # the last axis varies fastest
-    assignments = [
-        dict(zip(axes, values)) for values in itertools.product(*(run.grid[a] for a in axes))
-    ]
+    def rows():
+        states = {}
+        # the last axis varies fastest
+        for values in itertools.product(*(run.grid[a] for a in axes)):
+            v = {**run.fixed, **dict(zip(axes, values))}
+            key = (v["p"], v["zeta"], v["tail_tol"])
+            if key not in states:
+                states[key] = build_state(*key)
+            bath = BathSpec(
+                omega_phonon=v["omega_phonon"], temperature=v["temperature"], omega_c=v["omega_c"]
+            )
+            channel = ChannelParams(
+                omega_a=v["omega_a"],
+                omega_b=v["omega_b"],
+                gamma_plus=v["gamma_plus"],
+                gamma_minus=0.0,
+                tau_l=v["tau_l"],
+                epsilon=v["epsilon"],
+            )
+            yield values + tuple(_sweep_point(run.observables, states[key], bath, channel))
 
-    inputs = _sweep_inputs(run, assignments)
-    header = tuple(axes) + run.observables
-    rows = [
-        tuple(assignment[axis] for axis in axes) + tuple(_sweep_point(run.observables, *point))
-        for assignment, point in zip(assignments, inputs)
-    ]
-    write_table(args, header, rows, "parameter sweep")
+    write_table(args, tuple(axes) + run.observables, rows(), "parameter sweep")
     return EXIT_OK
 
 

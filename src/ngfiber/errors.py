@@ -63,5 +63,9 @@ class DimensionBudgetExceeded(ParameterError):
     """The joint system-bath Hilbert space exceeds the dense-matrix budget."""
 
 
+class GibbsLevelsExceeded(ParameterError):
+    """The direct-sum Gibbs oracle would need more levels than its cap."""
+
+
 class DimensionMismatch(ParameterError):
     """Vector or matrix dimensions do not match the declared space factorization."""

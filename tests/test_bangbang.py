@@ -508,6 +508,8 @@ def test_segmented_free_propagation_matches_single_exponential():
     whole = expm_hermitian(h.toarray(), n_seg * tau) @ psi0
     assert np.max(np.abs(split - whole)) < 1e-10
     assert abs(np.linalg.norm(split) - 1.0) < 1e-10
+    # no segment: the state is returned as given
+    assert np.array_equal(bb.propagate_free([], tau, psi0), psi0)
 
 
 def test_bb_needs_even_segments_and_matching_dims():

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from ngfiber import bath as bath_mod
 from ngfiber.bath import (
+    GIBBS_MAX_LEVELS,
     GIBBS_TAIL_TOL,
     BathSpec,
     dissipation_rate,
@@ -24,7 +26,13 @@ from ngfiber.bath import (
     visibility_direct,
 )
 from ngfiber.constants import HBAR, K_B
-from ngfiber.errors import ParameterError, ZeroModeDifference, ZeroTemperature
+from ngfiber.errors import (
+    GibbsLevelsExceeded,
+    ParameterError,
+    QuadratureNonConvergence,
+    ZeroModeDifference,
+    ZeroTemperature,
+)
 
 
 def make_bath(temperature: float, omega_phonon: float = 2.62e10) -> BathSpec:
@@ -77,6 +85,32 @@ def test_gibbs_weights_ground_state_at_zero_temperature():
     w, s_max = gibbs_weights(make_bath(0.0))
     assert s_max == 0
     assert_allclose(w, [1.0], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("temp", [5e-324, 1e-310])
+def test_temperature_whose_kt_underflows_is_zero_temperature(temp):
+    # kB T rounds to 0 here: boltzmann_ratio used to divide by it
+    cold, zero = make_bath(temp), make_bath(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cold.boltzmann_ratio() == 0.0 and cold.mean_occupation() == 0.0
+        assert gibbs_weights(cold)[1] == 0
+        for tau in (1e-11, 1e-9):
+            assert dissipation_rate(cold, tau) == dissipation_rate(zero, tau)
+            assert dissipation_rate_quadrature(cold, tau) == dissipation_rate_quadrature(zero, tau)
+
+
+def test_gibbs_levels_above_the_cap_are_refused_before_allocating(monkeypatch):
+    # at 1e6 K the cut needs 2.07e8 levels, 1.5 GiB per float64 array
+    assert gibbs_weights(make_bath(2e4))[1] < GIBBS_MAX_LEVELS
+
+    def no_arange(*args, **kwargs):
+        raise AssertionError("arange ran")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    for call in (lambda b: gibbs_weights(b), lambda b: visibility_direct(b, 0.3, 1)):
+        with pytest.raises(GibbsLevelsExceeded, match="207106641 Gibbs levels exceed the cap of 4194304"):
+            call(make_bath(1e6))
 
 
 def untruncated_gibbs_mean(bath, phi):
@@ -228,6 +262,12 @@ def test_dissipation_quadrature_edge_cases():
         dissipation_rate_closed(bath.omega_c, -1.0)
     with pytest.raises(ParameterError):
         dissipation_rate_closed(0.0, 1.0)
+
+
+def test_quadrature_refuses_when_its_orders_never_agree(monkeypatch):
+    monkeypatch.setattr(bath_mod, "_panel_integral", lambda f, upper, width, order: order)
+    with pytest.raises(QuadratureNonConvergence, match="failed to stabilize"):
+        dissipation_rate_quadrature(make_bath(0.2), 1e-9)
 
 
 def test_dissipation_grows_with_temperature():

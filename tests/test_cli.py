@@ -10,6 +10,7 @@ import re
 import shlex
 import tempfile
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -655,13 +656,56 @@ def test_sweep_refuses_the_difference_coupling_key(tmp_path, capsys):
     ["p = 1.5", "p = nan", "zeta = nan", "temperature = 1e20", "temperature = inf",
      "tau_l = nan", "epsilon = nan", "zeta = 0.4\n[fixed]\nomega_a = nan",
      "zeta = 0.4\n[fixed]\ntail_tol = 1", "zeta = 0.4\n[fixed]\ntail_tol = 0",
-     "p = 100000000"],
+     "p = 100000000", "zeta = 0.2, 0.4\ntemperature = 0, 0.5, 1e20"],
 )
-def test_sweep_refuses_invalid_points(tmp_path, grid):
+def test_sweep_refuses_invalid_points(tmp_path, capsys, grid):
     # a fractional p is refused, not truncated; at 1e20 K the Boltzmann ratio
-    # rounds to 1; a NaN channel input would write NaN rows
+    # rounds to 1; a NaN channel input would write NaN rows.  The points are
+    # evaluated as they are reached, so a bad last point follows five good ones.
     cfg = sweep_config(tmp_path, f"[grid]\n{grid}\n[output]\nobservables = fidelity\n")
-    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 2
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("parameter error: ")
+    assert not out.exists()
+
+
+def test_sweep_memory_does_not_hold_the_grid(tmp_path):
+    # 2*10^4 points: the peak is the output text, about 0.24 kB a point; a
+    # sweep that kept every point's assignment, inputs and row peaked at 0.83 kB
+    zetas = ", ".join(f"{0.01 * (i + 1):.2f}" for i in range(20))
+    rates = ", ".join(f"{(i + 1) * 1e7:.1e}" for i in range(20))
+    taus = ", ".join(f"{(i + 1) * 1e-9:.1e}" for i in range(50))
+    cfg = sweep_config(
+        tmp_path,
+        f"[grid]\nzeta = {zetas}\ngamma_plus = {rates}\ntau_l = {taus}\n"
+        "[output]\nobservables = negativity\n",
+    )
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 20_001
+    assert peak / 20_000 < 400
+
+
+def test_sweep_json_rows_equal_its_csv_rows(tmp_path):
+    cfg = sweep_config(
+        tmp_path,
+        "[fixed]\ngamma_plus = 3e8\nepsilon = 4e-12\ntau_l = 1e-8\n"
+        "[grid]\nzeta = 0.2, 0.6\ntemperature = 0, 0.5\n",
+    )
+    csv_out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+    assert run_cli("sweep", "--config", cfg, "--out", str(csv_out)) == 0
+    assert run_cli("sweep", "--config", cfg, "--out", str(json_out), "--format", "json") == 0
+    header, *lines = csv_out.read_text(encoding="utf-8").splitlines()
+    table = json.loads(json_out.read_text(encoding="utf-8"))
+    assert table["columns"] == header.split(",")
+    # %.16e carries 17 significant digits, so every CSV value parses back to its float
+    assert table["rows"] == [[float(v) for v in line.split(",")] for line in lines]
+    assert len(lines) == 4
 
 
 @pytest.mark.parametrize(

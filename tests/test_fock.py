@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm as scipy_expm
 
-from ngfiber.errors import NonHermitianInput, ParameterError
+from ngfiber.errors import EigenFailure, NonHermitianInput, ParameterError
 from ngfiber.fock import (
     FockOperator,
     FockSpace,
@@ -40,6 +40,12 @@ def test_index_round_trip():
         space.index(4, 3)
     with pytest.raises(KeyError):
         space.index(7, 0)
+
+
+def test_space_equality_hash_and_repr():
+    assert FockSpace(3) == FockSpace(3) != FockSpace(4)
+    assert len({FockSpace(3), FockSpace(3), FockSpace(4)}) == 2
+    assert repr(FockSpace(3)) == "FockSpace(total_cut=3)"
 
 
 def test_number_arrays_match_basis():
@@ -243,6 +249,24 @@ def test_blocked_expm_matches_scipy(h, t):
 def test_expm_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1.0)
+
+
+def _eigh_fails(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_not_unitary(a):
+    return np.zeros(a.shape[:-1]), 2.0 * np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+
+
+@pytest.mark.parametrize(
+    "eigh, match",
+    [(_eigh_fails, "eigendecomposition failed"), (_eigh_not_unitary, "unitarity defect")],
+)
+def test_expm_eigen_failures_are_typed(monkeypatch, eigh, match):
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(EigenFailure, match=match):
+        expm_hermitian(np.diag([0.0, 1.0]).astype(complex), 1.0)
 
 
 def test_hermiticity_helpers():
