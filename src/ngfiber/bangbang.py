@@ -5,10 +5,13 @@ oscillator modes through a pair-exchange (Raman) term g (a+ b B + a b+ B+)
 and number-diagonal dephasing terms (G_a n_a + G_b n_b) B+B.  It conserves
 n_a + n_b and n_a + sum_i s_i, so it is built straight into one block per
 sector of those two numbers (`SectorHamiltonian`), from a layout computed once
-per (total_cut, num_modes, s_cut); no dense joint matrix exists.  Propagation
-eigensolves the distinct segment Hamiltonians' blocks as built, one stacked
-eigh per block size (`fock._block_expm`), and advances the state block by
-block; no dense propagator is formed either.  Interleaving the
+per (total_cut, num_modes, s_cut); no dense joint matrix exists.  A block
+where the state is zero stays zero, so propagation eigensolves only the
+blocks the initial state occupies, of each distinct segment Hamiltonian, one
+stacked eigh per block size (`fock._block_expm`), and advances the state
+block by block; no dense propagator is formed either.  A state from
+`joint_initial_state` (bath in its ground state) occupies one block per
+system amplitude, n_max + 1 of them.  Interleaving the
 quarter-cycle phase shifter Pi = exp(i pi (n_a - n_b)/2), a phase vector,
 between segment propagators flips the sign of the pair-exchange term each
 segment, so its first-order effect cancels over segment pairs while the
@@ -25,12 +28,20 @@ its partial transpose that `negativity` builds; no dense one is formed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionBudgetExceeded, DimensionMismatch, ParameterError
-from .fock import TRACE_TOL, FockSpace, _block_expm, _quarter_phases
+from .fock import (
+    TRACE_TOL,
+    UNITARY_TOL,
+    FockSpace,
+    _block_expm,
+    _check_hermitian,
+    _quarter_phases,
+)
 from .negativity import _negativity_blocked
 from .states import NonGaussianState, embed
 
@@ -281,16 +292,28 @@ def joint_phase_shifter(space: FockSpace, bath: ToyBath) -> np.ndarray:
     return np.repeat(_quarter_phases(space), bath.bath_dim())
 
 
+def _vector(name: str, value) -> np.ndarray:
+    vec = np.asarray(value, dtype=complex)
+    if vec.ndim != 1:
+        raise ParameterError(f"{name} must be a 1-D vector, got shape {vec.shape}")
+    return vec
+
+
 def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None):
     """Advance psi through the segments block by block, pulsing before each if pi_op is given.
 
-    Each distinct Hamiltonian (by identity) is decomposed once: their flat
-    vectors are stacked and each size group is eigensolved as built.  Pi is
-    diagonal within every block, so each pulsed segment is the one unitary
-    E Pi: the pulse phases scale the columns of every propagator block once.
-    psi is permuted into block order once; each segment multiplies every size
-    group in place.
+    Every H conserves its sectors, so a block where psi is zero stays zero:
+    only the blocks psi occupies are eigensolved, pulsed and advanced, and
+    every other entry is returned as psi's exact zero.  The Hermiticity check
+    still covers every block of each distinct H (by identity); their flat
+    vectors are stacked, and the occupied blocks of each size group are
+    eigensolved at once.  Pi is diagonal within every block, so each pulsed
+    segment is the one unitary E Pi: the pulse phases scale the columns of
+    every propagator block once.  psi is permuted into block order once;
+    each segment multiplies the occupied blocks of every size group.
     """
+    if not math.isfinite(tau):
+        raise ParameterError(f"tau must be finite, got {tau}")
     distinct = {}
     for h in h_list:
         if not isinstance(h, SectorHamiltonian):
@@ -310,18 +333,27 @@ def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None):
         data[:, off : off + idx.size * idx.shape[1]].reshape(len(distinct), *idx.shape, -1)
         for idx, off in layout.groups
     ]
-    props = _block_expm(stacks, tau)
-    if pi_op is not None:
-        props = [w * pi_op[idx][:, None, :] for w, (idx, _) in zip(props, layout.groups)]
+    _check_hermitian(stacks)
     x = psi[layout.order]
-    views, start = [], 0
-    for idx, _ in layout.groups:
-        views.append(x[start : start + idx.size].reshape(*idx.shape, 1))
+    # per size group psi occupies: its amplitudes, the occupied block numbers,
+    # their joint indices and their stacked H blocks
+    live, start = [], 0
+    for (idx, _), stack in zip(layout.groups, stacks):
+        part = x[start : start + idx.size].reshape(*idx.shape, 1)
         start += idx.size
+        occ = np.flatnonzero(part.any(axis=(1, 2)))
+        if occ.size:
+            live.append((part, occ, idx[occ], stack[:, occ]))
+    props = _block_expm([stack for *_, stack in live], tau)
+    if pi_op is not None:
+        props = [w * pi_op[idx][:, None, :] for w, (_, _, idx, _) in zip(props, live)]
+    amps = [part[occ] for part, occ, *_ in live]
     for h in h_list:
         k = distinct[id(h)][0]
-        for view, blocks in zip(views, props):
-            view[...] = np.matmul(blocks[k], view)
+        for j, blocks in enumerate(props):
+            amps[j] = np.matmul(blocks[k], amps[j])
+    for (part, occ, *_), amp in zip(live, amps):
+        part[occ] = amp
     out = np.empty_like(x)
     out[layout.order] = x
     return out
@@ -331,11 +363,13 @@ def propagate_free(h_list, tau: float, psi0: np.ndarray) -> np.ndarray:
     """Apply the segment propagators in order with no pulses.
 
     h_list holds `SectorHamiltonian`s from `build_hamiltonian`; anything else
-    (a dense ndarray included) raises ParameterError.  Their sector blocks are
-    eigensolved as built (`fock._block_expm`) and psi is advanced block by
-    block: no dense joint matrix and no dense propagator are formed.
+    (a dense ndarray included) raises ParameterError, as do a non-finite tau
+    and a psi0 that is not a 1-D vector.  Only the sector blocks psi0
+    occupies are eigensolved (`fock._block_expm`) and advanced, block by
+    block; every block of every H is checked for Hermiticity.  No dense
+    joint matrix and no dense propagator are formed.
     """
-    return _propagate(list(h_list), tau, np.asarray(psi0, dtype=complex))
+    return _propagate(list(h_list), tau, _vector("psi0", psi0))
 
 
 def propagate_bb(h_list, tau: float, psi0: np.ndarray, pi_op: np.ndarray) -> np.ndarray:
@@ -346,19 +380,27 @@ def propagate_bb(h_list, tau: float, psi0: np.ndarray, pi_op: np.ndarray) -> np.
     instead give Pi U Pi^dag, so that train is
     pi_op * propagate_bb(h_list, tau, pi_op.conj() * psi0, pi_op).  Both
     cancel the pair-exchange coupling to first order.  Requires an even
-    number of segments; pi_op is a phase vector.  h_list holds
-    `SectorHamiltonian`s from `build_hamiltonian` (a dense ndarray raises
-    ParameterError); the distinct ones share one stacked eigh per block size
-    and psi is advanced block by block, so neither a dense joint matrix nor a
-    dense propagator is formed.
+    number of segments, a finite tau, and psi0 and pi_op as 1-D vectors of
+    the joint dimension, pi_op an ndarray with every |pi| 1 within
+    UNITARY_TOL (a phase vector); anything else raises ParameterError.
+    h_list holds `SectorHamiltonian`s from `build_hamiltonian` (a dense
+    ndarray raises ParameterError).  The sector blocks psi0 occupies are eigensolved, one
+    stacked eigh per block size over the distinct H, and psi is advanced
+    block by block, so neither a dense joint matrix nor a dense propagator is
+    formed.
     """
     n = len(h_list)
     if n < 2 or n % 2 != 0:
         raise ParameterError("propagate_bb needs an even number of segments >= 2")
-    psi = np.asarray(psi0, dtype=complex)
-    if pi_op.shape[0] != psi.shape[0]:
+    if not isinstance(pi_op, np.ndarray):
+        raise ParameterError(f"pi_op must be a phase vector array, got {type(pi_op).__name__}")
+    psi = _vector("psi0", psi0)
+    pi = _vector("pi_op", pi_op)
+    if pi.shape[0] != psi.shape[0]:
         raise DimensionMismatch("pulse operator and state dimensions differ")
-    return _propagate(h_list, tau, psi, pi_op)
+    if not np.all(abs(abs(pi) - 1.0) <= UNITARY_TOL):
+        raise ParameterError("pi_op must be a phase vector: every |pi| must be 1")
+    return _propagate(h_list, tau, psi, pi)
 
 
 def reduced_system_matrix(

@@ -5,11 +5,13 @@ order (ascending total photon number, then ascending n_a), so every matrix
 representation is reproducible across runs, and each total photon number
 N = n_a + n_b is one contiguous index range.  `_block_expm` computes
 propagators of Hermitian blocks already stacked by size (one stacked eigh per
-size, for a whole list of matrices at once); `bangbang` passes its conserved
-sectors straight in.  The dense operators (`annihilation`, `number_operator`,
-`phase_shifter`, `partial_transpose`, `expm`) are kept as reference
-implementations for the tests and `validate`; `partial_transpose` is the
-dense oracle behind `negativity.negativity_fock`.
+size, for a whole list of matrices at once), and `_check_hermitian` checks
+such stacks; `bangbang` checks every block of its conserved sectors and
+passes only the blocks its state occupies to `_block_expm`.  The dense
+operators (`annihilation`, `number_operator`, `phase_shifter`,
+`partial_transpose`, `expm`) are kept as reference implementations for the
+tests and `validate`; `partial_transpose` is the dense oracle behind
+`negativity.negativity_fock`.
 """
 
 from __future__ import annotations
@@ -156,23 +158,33 @@ def partial_transpose(rho: FockOperator) -> FockOperator:
     return FockOperator(space, out)
 
 
+def _check_hermitian(stacks) -> None:
+    """Raise NonHermitianInput unless every matrix of the stacks is Hermitian.
+
+    stacks are as for `_block_expm`: each (n_matrices, n_blocks, size, size).
+    The check is per matrix, max|m - m+| over all its blocks against
+    HERMITIAN_TOL * max(1, max|m|); entries outside the blocks are zero in m
+    and in m+, so this is the dense defect.  A NaN anywhere fails it.
+    """
+    asym = np.max([abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)) for s in stacks], 0)
+    scale = np.max([abs(s).max(axis=(1, 2, 3)) for s in stacks], 0)
+    bad = np.flatnonzero(~(asym <= HERMITIAN_TOL * np.maximum(1.0, scale)))
+    if bad.size:
+        raise NonHermitianInput(
+            f"expm requires a Hermitian generator (defect {asym[bad[0]]:.3e} in matrix {bad[0]})"
+        )
+
+
 def _block_expm(stacks, t: float) -> list:
     """exp(-i m t) per block, for stacks of Hermitian blocks.
 
     Each stack is (n_matrices, n_blocks, size, size): the blocks of one size
     for every matrix in a list.  Returns the propagators in the same shapes.
-    The Hermiticity check is per matrix, max|m - m+| over all its blocks
-    against HERMITIAN_TOL * max(1, max|m|); entries outside the blocks are zero
-    in m and in m+, so this is the dense defect.  The unitarity check runs per
-    stack.
+    Only the blocks passed in are eigensolved; the caller checks their
+    Hermiticity (`_check_hermitian`), over as many blocks as it needs.  The
+    unitarity check runs per stack, on every propagator block formed, and a
+    NaN fails it.
     """
-    asym = np.max([abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)) for s in stacks], 0)
-    scale = np.max([abs(s).max(axis=(1, 2, 3)) for s in stacks], 0)
-    bad = np.flatnonzero(asym > HERMITIAN_TOL * np.maximum(1.0, scale))
-    if bad.size:
-        raise NonHermitianInput(
-            f"expm requires a Hermitian generator (defect {asym[bad[0]]:.3e} in matrix {bad[0]})"
-        )
     out = []
     for sub in stacks:
         try:
@@ -182,7 +194,7 @@ def _block_expm(stacks, t: float) -> list:
         blocks = (evecs * np.exp(-1j * evals * t)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
         size = sub.shape[-1]
         defect = float(np.max(np.abs(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(size))))
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:
             raise EigenFailure(f"propagator unitarity defect {defect:.3e}")
         out.append(blocks)
     return out
@@ -191,10 +203,12 @@ def _block_expm(stacks, t: float) -> list:
 def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
     """Unitary exp(-i * matrix * t) of a Hermitian matrix, as one dense block.
 
-    The test oracle for propagation: `_block_expm` eigensolves the whole
-    matrix and applies its Hermiticity and unitarity checks.
+    The test oracle for propagation: the whole matrix goes through
+    `_check_hermitian` and `_block_expm`, so both checks apply to it.
     """
-    return _block_expm([matrix[None, None]], t)[0][0, 0]
+    stack = [matrix[None, None]]
+    _check_hermitian(stack)
+    return _block_expm(stack, t)[0][0, 0]
 
 
 def expm(h: FockOperator, t: float) -> FockOperator:

@@ -231,13 +231,15 @@ def test_perturbed_propagation_matches_expm_multiply():
     st.integers(2, 5),
     st.integers(1, 4),
     st.sampled_from((None, False, True)),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 def test_distinct_segment_patterns_match_scipy_expm(
-    num_modes, s_cut, cut, pairs, pulses_after, seed
+    num_modes, s_cut, cut, pairs, pulses_after, sparse, seed
 ):
     # the segments share one block partition, although one of them has its
-    # exchange coupling scaled to 0 (a diagonal pattern) and some repeat an H
+    # exchange coupling scaled to 0 (a diagonal pattern) and some repeat an H;
+    # a sparse psi0 has support on a random subset of the sectors only
     space = FockSpace(cut)
     assume(space.dim * (s_cut + 1) ** num_modes <= 120)
     rng = np.random.default_rng(seed)
@@ -256,6 +258,10 @@ def test_distinct_segment_patterns_match_scipy_expm(
     picks[rng.integers(n_seg)] = uncoupled
     h_list = [distinct[i] for i in picks]
     psi0 = rng.normal(size=distinct[0].shape[0]) + 1j * rng.normal(size=distinct[0].shape[0])
+    if sparse:
+        sector = distinct[0].layout.sector
+        labels = np.unique(sector)
+        psi0[~np.isin(sector, rng.choice(labels, rng.integers(1, labels.size + 1), False))] = 0
     pi = bb.joint_phase_shifter(space, bath)
     tau = rng.uniform(0.05, 1.0)
     ref = psi0.copy()
@@ -301,6 +307,18 @@ def test_hermiticity_is_checked_per_segment_hamiltonian():
     bad = tampered(h_list[1], 1.0, k, 5e-12)
     with pytest.raises(NonHermitianInput):
         bb.propagate_free([big, unit, bad], 0.1, psi0)
+    # psi0 occupies two of the sectors; a defect, or a NaN, in a block it
+    # leaves empty is never eigensolved, and is refused all the same
+    sector = h_list[0].layout.sector
+    empty = ~np.isin(sector[rows], sector[psi0 != 0])
+    k = np.flatnonzero(empty & (h_list[0].data != 0) & (rows < cols))[0]
+    pi = bb.joint_phase_shifter(space, bath)
+    for defect in (0.1, NAN):
+        pair = [unit, tampered(h_list[0], 1.0, k, defect)]
+        with pytest.raises(NonHermitianInput):
+            bb.propagate_free(pair, 0.1, psi0)
+        with pytest.raises(NonHermitianInput):
+            bb.propagate_bb(pair, 0.1, psi0, pi)
 
 
 def joint_sectors(space, bath):
@@ -397,6 +415,22 @@ def propagate_mixed_spaces():
     bb.propagate_free([h, other], 0.1, np.ones(18))
 
 
+def small_train():
+    space, bath = FockSpace(2), two_mode_bath()
+    h = bb.build_hamiltonian(space, bath)
+    psi0 = bb.joint_initial_state(build_state(0, 0.5, n_max=1), space, bath)
+    return [h, h], psi0, bb.joint_phase_shifter(space, bath)
+
+
+def propagate_small(tau=0.1, psi=None, pi=None, pulsed=True):
+    """The pulsed (or free) two-segment train on joint dim 54, with psi0 and Pi mapped."""
+    h_list, psi0, pi_op = small_train()
+    psi0 = psi0 if psi is None else psi(psi0)
+    if not pulsed:
+        return bb.propagate_free(h_list, tau, psi0)
+    return bb.propagate_bb(h_list, tau, psi0, pi_op if pi is None else pi(pi_op))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -421,6 +455,18 @@ def propagate_mixed_spaces():
             id="dense-ndarray",
         ),
         pytest.param(propagate_mixed_spaces, id="mixed-joint-spaces"),
+        *(pytest.param(lambda tau=tau, pulsed=pulsed: propagate_small(tau, pulsed=pulsed),
+                       id=f"{'pulsed' if pulsed else 'free'}-tau-{tau}")
+          for tau in (NAN, INF, -INF) for pulsed in (False, True)),
+        pytest.param(lambda: propagate_small(pi=lambda pi: pi[:, None]), id="pulse-column"),
+        pytest.param(lambda: propagate_small(pi=lambda pi: 2 * pi), id="pulse-doubled"),
+        pytest.param(lambda: propagate_small(pi=lambda pi: pi * np.exp(1e-5 * np.arange(54))),
+                     id="pulse-off-unit-modulus"),
+        pytest.param(lambda: propagate_small(pi=list), id="pulse-list"),
+        *(pytest.param(lambda pulsed=pulsed: propagate_small(
+            psi=lambda psi0: np.repeat(psi0[:, None], 3, axis=1), pulsed=pulsed),
+            id=f"{'pulsed' if pulsed else 'free'}-state-three-columns")
+          for pulsed in (False, True)),
     ],
 )
 def test_toy_model_refusals_are_typed(make):
@@ -445,6 +491,59 @@ def test_block_propagation_allocates_no_dense_propagator():
         tracemalloc.stop()
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     assert peak <= 4_000_000
+
+
+def recording_eigh(monkeypatch):
+    """Wrap np.linalg.eigh to record the shape of every stack it eigensolves."""
+    shapes, eigh = [], np.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    return shapes
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("pulsed", [False, True])
+@pytest.mark.parametrize("p, n_max", [(0, 0), (1, 2), (2, 4)])
+def test_only_the_occupied_sectors_are_eigensolved(monkeypatch, p, n_max, pulsed, perturbed):
+    # bath in its ground state: one sector (N, M) = (2n + p, n) per amplitude
+    # c_n of the state, and H never moves psi out of them
+    bath = two_mode_bath()
+    space = FockSpace(2 * n_max + p + 2)
+    n_seg = 6
+    if perturbed:
+        profile = bb.SegmentProfile.generate(n_seg, 1.0, 0.1, seed=3, num_modes=2)
+        h_list = [bb.build_hamiltonian(space, bath, i, profile) for i in range(n_seg)]
+    else:
+        h_list = [bb.build_hamiltonian(space, bath)] * n_seg
+    n_distinct = len({id(h) for h in h_list})
+    psi0 = bb.joint_initial_state(build_state(p, 0.5, n_max=n_max), space, bath)
+    sector = h_list[0].layout.sector
+    occupied = np.unique(sector[psi0 != 0])
+    assert occupied.size == n_max + 1
+    shapes = recording_eigh(monkeypatch)
+    if pulsed:
+        psi = bb.propagate_bb(h_list, 0.4, psi0, bb.joint_phase_shifter(space, bath))
+    else:
+        psi = bb.propagate_free(h_list, 0.4, psi0)
+    assert all(shape[0] == n_distinct for shape in shapes)
+    assert sum(shape[1] for shape in shapes) == n_max + 1
+    sizes = sorted(size for shape in shapes for size in [shape[-1]] * shape[1])
+    assert sizes == sorted(np.count_nonzero(sector == label) for label in occupied)
+    assert np.all(psi[~np.isin(sector, occupied)] == 0)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+def test_zero_state_propagates_without_an_eigensolve(monkeypatch):
+    h_list, psi0, pi = small_train()
+    shapes = recording_eigh(monkeypatch)
+    zero = np.zeros_like(psi0)
+    assert np.array_equal(bb.propagate_free(h_list, 0.1, zero), zero)
+    assert np.array_equal(bb.propagate_bb(h_list, 0.1, zero, pi), zero)
+    assert shapes == []
 
 
 def test_segment_profile_validation_and_seeding():

@@ -249,6 +249,9 @@ def test_blocked_expm_matches_scipy(h, t):
 def test_expm_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1.0)
+    # a NaN fails the defect comparison instead of slipping past it
+    with pytest.raises(NonHermitianInput, match="nan"):
+        expm_hermitian(np.array([[0.0, 1.0], [1.0, np.nan]], dtype=complex), 1.0)
 
 
 def _eigh_fails(a):
@@ -259,14 +262,25 @@ def _eigh_not_unitary(a):
     return np.zeros(a.shape[:-1]), 2.0 * np.broadcast_to(np.eye(a.shape[-1]), a.shape)
 
 
+def _eigh_nan(a):
+    return np.zeros(a.shape[:-1]), np.full(a.shape, np.nan)
+
+
 @pytest.mark.parametrize(
     "eigh, match",
-    [(_eigh_fails, "eigendecomposition failed"), (_eigh_not_unitary, "unitarity defect")],
+    [(_eigh_fails, "eigendecomposition failed"), (_eigh_not_unitary, "unitarity defect"),
+     (_eigh_nan, "unitarity defect nan")],
 )
 def test_expm_eigen_failures_are_typed(monkeypatch, eigh, match):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     with pytest.raises(EigenFailure, match=match):
         expm_hermitian(np.diag([0.0, 1.0]).astype(complex), 1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_expm_at_a_non_finite_time_fails_the_unitarity_check(t):
+    with np.errstate(invalid="ignore"), pytest.raises(EigenFailure, match="unitarity defect nan"):
+        expm_hermitian(np.diag([0.0, 1.0]).astype(complex), t)
 
 
 def test_hermiticity_helpers():

@@ -145,18 +145,52 @@ def retries(p, zeta, tail_tol, n_max):
     return states._first_length(p, abs(zeta), math.log(tail_tol)) < n_max
 
 
+_FIRST_LENGTH = states._first_length
+
+
+def short_first_vectors():
+    """Patch the tail rule to size every first vector a third as long, so long rows retry."""
+    return mock.patch.object(
+        states, "_first_length", lambda p, az, log_tol: _FIRST_LENGTH(p, az, log_tol) // 3
+    )
+
+
 @pytest.mark.parametrize(
     "p, zeta, tail_tol",
     [(30, 0.9, 1e-12), (30, 0.8 * cmath.exp(2j), 1e-12), (100, 0.95, 1e-12), (100, -0.5j, 1e-12),
      (100, 0.83, 1e-12), (10, 0.9, 1e-3)],
 )
 def test_series_matches_lgamma_scan_after_a_retry(p, zeta, tail_tol):
-    # at large p the first vector falls short (p = 30, zeta = 0.9: 1050 terms
-    # for n_max 1109; p = 100, zeta = 0.95: 7196 for 9082), so these states
-    # come from the doubled vector of a second run
-    state = build_state(p, zeta, tail_tol)
-    assert retries(p, zeta, tail_tol, state.n_max)
+    # the first vector is cut short on purpose (p = 30, zeta = 0.9: 475
+    # terms for n_max 1109; p = 100, zeta = 0.95: 3810 for 9082), so these
+    # states come from the doubled vector of a second run
+    with short_first_vectors():
+        state = build_state(p, zeta, tail_tol)
+        assert retries(p, zeta, tail_tol, state.n_max)
     assert_matches_lgamma_scan(p, zeta, tail_tol, state)
+
+
+@pytest.mark.parametrize("p, tail_tol", [(30, 1e-12), (100, 1e-12), (30, 1e-3), (100, 1e-3)])
+def test_first_vector_holds_n_max_at_large_p(p, tail_tol):
+    # the estimate takes its p log1p(n) term at the estimate itself, so every
+    # row of this grid is cut in one pass; 24 to 74 of them used to retry
+    calls = []
+    cut = states._cut
+
+    def counting_cut(p, zetas, az, top, tail_tol):
+        calls.append(len(zetas))
+        return cut(p, zetas, az, top, tail_tol)
+
+    with mock.patch.object(states, "_cut", counting_cut):
+        for zeta in [k / 100 for k in range(1, 100)]:
+            calls.clear()
+            try:
+                state = build_state(p, zeta, tail_tol)
+            except ParameterError:  # P^2 overflows: refused before any series
+                assert calls == []
+                continue
+            assert calls == [1]
+            assert not retries(p, zeta, tail_tol, state.n_max)
 
 
 @pytest.mark.parametrize("p", [30, 100])
@@ -164,9 +198,9 @@ def test_build_states_mixes_retried_and_one_pass_rows(p):
     # a small cell cap puts the rows in many runs; a retried row goes to a
     # later run at twice its run's length, next to rows of other lengths
     zetas = [0.9, 0.3, -0.6j, 0.05, 0.83, 0.5, 0.7 * cmath.exp(0.4j), 0.2, 0.9, 0.75]
-    with mock.patch.object(states, "_BLOCK_CELLS", 3000):
+    with mock.patch.object(states, "_BLOCK_CELLS", 3000), short_first_vectors():
         got = build_states(p, zetas)
-    retried = [retries(p, zeta, 1e-12, state.n_max) for zeta, state in zip(zetas, got)]
+        retried = [retries(p, zeta, 1e-12, state.n_max) for zeta, state in zip(zetas, got)]
     assert any(retried) and not all(retried)
     for zeta, state, again in zip(zetas, got, retried):
         assert_same_state(state, build_state(p, zeta))
