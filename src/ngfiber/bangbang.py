@@ -127,6 +127,7 @@ class _SectorLayout:
     n_b: np.ndarray
     s: np.ndarray  # (num_modes, dim), s_0 the leading bath digit
     diag: np.ndarray  # flat position of each diagonal entry, in block order
+    mirror: np.ndarray  # per flat position (block, i, j): the flat position of (block, j, i)
     exchange: tuple  # per mode: sqrt((n_a+1) n_b s_i), positions of <dst|H|src> and <src|H|dst>
     size: int  # length of the flat vector
 
@@ -169,13 +170,15 @@ def _sector_layout(total_cut: int, num_modes: int, s_cut: int) -> _SectorLayout:
     idx_groups = _size_groups(sector)
     # per joint index: flat start of its block, its place in the block, the block size
     start, local, width = (np.empty(dim, dtype=np.intp) for _ in range(3))
-    groups, offset = [], 0
+    groups, mirrors, offset = [], [], 0
     for idx in idx_groups:
         n_blocks, size = idx.shape
         start[idx] = offset + size * size * np.arange(n_blocks)[:, None]
         local[idx] = np.arange(size)
         width[idx] = size
         groups.append((idx, offset))
+        flat = offset + np.arange(idx.size * size).reshape(n_blocks, size, size)
+        mirrors.append(flat.swapaxes(1, 2).ravel())
         offset += idx.size * size
 
     def position(row, col):
@@ -189,13 +192,14 @@ def _sector_layout(total_cut: int, num_modes: int, s_cut: int) -> _SectorLayout:
         amp = np.sqrt(n_a[src] + 1) * np.sqrt(n_b[src]) * np.sqrt(s[i, src])
         exchange.append((amp, position(dst, src), position(src, dst)))
     order = np.concatenate([idx.ravel() for idx in idx_groups])
+    mirror = np.concatenate(mirrors)
     layout = _SectorLayout(
         sector, tuple(groups), order, n_a[order], n_b[order], s[:, order],
-        position(order, order), tuple(exchange), offset,
+        position(order, order), mirror, tuple(exchange), offset,
     )
     # every Hamiltonian on this space shares these arrays
-    for arr in (sector, order, layout.n_a, layout.n_b, layout.s, layout.diag, *idx_groups,
-                *(a for mode in exchange for a in mode)):
+    for arr in (sector, order, layout.n_a, layout.n_b, layout.s, layout.diag, mirror,
+                *idx_groups, *(a for mode in exchange for a in mode)):
         arr.flags.writeable = False
     return layout
 
@@ -305,9 +309,10 @@ def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None):
     Every H conserves its sectors, so a block where psi is zero stays zero:
     only the blocks psi occupies are eigensolved, pulsed and advanced, and
     every other entry is returned as psi's exact zero.  The Hermiticity check
-    still covers every block of each distinct H (by identity); their flat
-    vectors are stacked, and the occupied blocks of each size group are
-    eigensolved at once.  Pi is diagonal within every block, so each pulsed
+    still covers every block of each distinct H (by identity): their flat
+    vectors are stacked and compared with their layout's mirror in one
+    gather, and the occupied blocks of each size group are eigensolved at
+    once.  Pi is diagonal within every block, so each pulsed
     segment is the one unitary E Pi: the pulse phases scale the columns of
     every propagator block once.  psi is permuted into block order once;
     each segment multiplies the occupied blocks of every size group.
@@ -329,11 +334,11 @@ def _propagate(h_list, tau: float, psi: np.ndarray, pi_op=None):
     if any(h.layout is not layout for _, h in distinct.values()):
         raise DimensionMismatch("segment Hamiltonians act on different joint spaces")
     data = np.stack([h.data for _, h in distinct.values()])
+    _check_hermitian(data, layout.mirror)
     stacks = [
         data[:, off : off + idx.size * idx.shape[1]].reshape(len(distinct), *idx.shape, -1)
         for idx, off in layout.groups
     ]
-    _check_hermitian(stacks)
     x = psi[layout.order]
     # per size group psi occupies: its amplitudes, the occupied block numbers,
     # their joint indices and their stacked H blocks

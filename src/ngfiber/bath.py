@@ -32,7 +32,7 @@ from .errors import (
 
 GIBBS_TAIL_TOL = 1e-18  # Gibbs mass left out by the oracle's level cut
 GIBBS_MAX_LEVELS = 2**22  # the oracle refuses more: 32 MiB per array, ~2e4 K at 2.62e10 rad/s
-_MAX_PANELS = 2**20  # quadrature refuses more: 32-node panels, 256 MiB per float64 array
+_MAX_PANELS = 2**17  # quadrature refuses more: 32-node panels, 32 MiB per float64 array
 _gauss_legendre = functools.cache(leggauss)  # the quadrature's two orders; 0.8 ms to rebuild
 _RATE_HEAD = 16  # reduced-cutoff terms summed directly before the trigamma tail
 # psi'(z) ~ sum_m _TRIGAMMA_COEFFS[m-1] / z^m = 1/z + 1/(2 z^2) + sum_j B_2j / z^(2j+1), with
@@ -108,22 +108,48 @@ def gibbs_phase_mean(n_bar: float, phi) -> np.ndarray:
     return 1.0 / (1.0 - n_bar * np.expm1(-1j * np.asarray(phi, dtype=float)))
 
 
-def visibility_direct(bath: BathSpec, x: float, k: int) -> float:
-    """|sum_s p_s exp(-2 i x s k)| by direct summation over Gibbs weights."""
+def _modulus(z: np.ndarray, x):
+    """|z| elementwise, a float where x is a scalar.
+
+    np.hypot of the parts gives the bits of abs() on each complex scalar;
+    numpy's vectorized abs of a complex array can differ in the last bit.
+    """
+    out = np.hypot(z.real, z.imag)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def visibility_direct(bath: BathSpec, x, k: int):
+    """|sum_s p_s exp(-2 i x s k)| by direct summation over Gibbs weights, elementwise in x.
+
+    The weights are built once for the whole x array, which costs one
+    (x.size, s_max + 1) array; more than GIBBS_MAX_LEVELS cells are refused
+    before it is allocated, as a scalar x past that many levels is.  Each
+    element is the bits of its scalar call.  A scalar x returns a float.
+    """
     if k == 0:
         raise ZeroModeDifference("visibility requires k != 0")
     w, s_max = gibbs_weights(bath)
+    if np.size(x) * (s_max + 1) > GIBBS_MAX_LEVELS:
+        raise GibbsLevelsExceeded(
+            f"{np.size(x)} x values times {s_max + 1} Gibbs levels exceed the cap of "
+            f"{GIBBS_MAX_LEVELS}"
+        )
     s = np.arange(s_max + 1)
-    return float(abs(np.sum(w * np.exp(-2j * x * k * s))))
+    xs = np.asarray(x, dtype=float)[..., None]
+    return _modulus(np.sum(w * np.exp(-2j * xs * k * s), axis=-1), x)
 
 
-def visibility_closed(bath: BathSpec, x: float, k: int) -> float:
-    """|gibbs_phase_mean| at phi = 2 x k, the channels' thermal mean; period pi/|k| in x."""
+def visibility_closed(bath: BathSpec, x, k: int):
+    """|gibbs_phase_mean| at phi = 2 x k, elementwise in x; period pi/|k| in x.
+
+    The channels' thermal mean.  A scalar x returns a float.
+    """
     if k == 0:
         raise ZeroModeDifference("visibility requires k != 0")
     if bath.temperature == 0.0:
         raise ZeroTemperature("closed-form visibility is written for T > 0")
-    return float(abs(gibbs_phase_mean(bath.mean_occupation(), 2.0 * x * k)))
+    phi = 2.0 * np.asarray(x, dtype=float) * k
+    return _modulus(gibbs_phase_mean(bath.mean_occupation(), phi), x)
 
 
 def ohmic_memory(omega, omega_c: float):
@@ -147,8 +173,8 @@ def dissipation_rate_closed(omega_c: float, tau_l: float) -> float:
     """
     if omega_c <= 0:
         raise ParameterError("omega_c must be > 0")
-    if tau_l < 0:
-        raise ParameterError("tau_l must be >= 0")
+    if not tau_l >= 0:
+        raise ParameterError(f"tau_l must be >= 0, got {tau_l}")
     if tau_l == 0:
         return 0.0
     omega_c, tau_l = float(omega_c), float(tau_l)  # Python floats raise, never warn
@@ -227,10 +253,16 @@ def _coth_factor(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def _panel_integral(f, upper: float, width: float, order: int) -> float:
-    """Composite Gauss-Legendre integral of f over [0, upper] in fixed panels."""
-    n_panels = max(1, int(math.ceil(upper / width)))
-    if n_panels > _MAX_PANELS:
-        raise QuadratureNonConvergence(f"{n_panels} quadrature panels exceed {_MAX_PANELS}")
+    """Composite Gauss-Legendre integral of f over [0, upper] in fixed panels.
+
+    The panel count is compared with _MAX_PANELS as a float, before int()
+    and before any array exists, so a width of 0 or a count past the float
+    range is refused like any other count past the cap.
+    """
+    panels = upper / width if width > 0 else math.inf
+    if not panels <= _MAX_PANELS:
+        raise QuadratureNonConvergence(f"{panels:.6g} quadrature panels exceed {_MAX_PANELS}")
+    n_panels = math.ceil(panels)
     nodes, weights = _gauss_legendre(order)
     edges = np.linspace(0.0, upper, n_panels + 1)
     lo, hi = edges[:-1], edges[1:]
@@ -247,15 +279,19 @@ def dissipation_rate_quadrature(bath: BathSpec, tau_l: float) -> float:
 
     Integrates omega^3 exp(-omega/omega_c) coth(hbar omega / 2 kB T)
     * 2 sin^2(omega tau_l / 2) / omega^2 over omega in [0, inf).  Panels are
-    kept narrower than both the cutoff scale and a quarter oscillation
-    pi / (4 tau_l); the upper limit is extended until the exponential tail is
-    negligible, and two quadrature orders must agree or the routine raises.
-    The panel count grows as omega_c tau_l and is capped at _MAX_PANELS, so
+    no wider than half the cutoff scale and one period 2 pi / tau_l of
+    sin^2(omega tau_l / 2), on which the 16- and 32-node rules already agree
+    to ~1e-15; the upper limit is extended until the exponential tail is
+    negligible, and two quadrature orders must agree (the panels are halved
+    up to three times) or the routine raises.  The panel count grows as
+    omega_c tau_l and is capped at _MAX_PANELS, which at T = 0 admits
+    x = omega_c tau_l up to about 2.35e4; past it, and at tau_l = inf,
+    QuadratureNonConvergence is raised before any array is allocated.  So
     this is an independent check of dissipation_rate at moderate x, not a
     route the channels use.
     """
-    if tau_l < 0:
-        raise ParameterError("tau_l must be >= 0")
+    if not tau_l >= 0:
+        raise ParameterError(f"tau_l must be >= 0, got {tau_l}")
     if tau_l == 0.0:
         return 0.0
     wc = bath.omega_c
@@ -282,7 +318,7 @@ def dissipation_rate_quadrature(bath: BathSpec, tau_l: float) -> float:
             break
         upper *= 1.5
 
-    width = min(0.5 * wc, math.pi / (4.0 * tau_l))
+    width = min(0.5 * wc, 2.0 * math.pi / tau_l)
     for _ in range(4):
         coarse = _panel_integral(integrand, upper, width, order=16)
         fine = _panel_integral(integrand, upper, width, order=32)

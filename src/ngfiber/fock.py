@@ -6,8 +6,9 @@ representation is reproducible across runs, and each total photon number
 N = n_a + n_b is one contiguous index range.  `_block_expm` computes
 propagators of Hermitian blocks already stacked by size (one stacked eigh per
 size, for a whole list of matrices at once), and `_check_hermitian` checks
-such stacks; `bangbang` checks every block of its conserved sectors and
-passes only the blocks its state occupies to `_block_expm`.  The dense
+matrices held as flat entry vectors against a transposing permutation of
+them; `bangbang` checks every block of its conserved sectors in one gather
+and passes only the blocks its state occupies to `_block_expm`.  The dense
 operators (`annihilation`, `number_operator`, `phase_shifter`,
 `partial_transpose`, `expm`) are kept as reference implementations for the
 tests and `validate`; `partial_transpose` is the dense oracle behind
@@ -158,16 +159,18 @@ def partial_transpose(rho: FockOperator) -> FockOperator:
     return FockOperator(space, out)
 
 
-def _check_hermitian(stacks) -> None:
-    """Raise NonHermitianInput unless every matrix of the stacks is Hermitian.
+def _check_hermitian(data: np.ndarray, mirror: np.ndarray) -> None:
+    """Raise NonHermitianInput unless every matrix of data is Hermitian.
 
-    stacks are as for `_block_expm`: each (n_matrices, n_blocks, size, size).
-    The check is per matrix, max|m - m+| over all its blocks against
-    HERMITIAN_TOL * max(1, max|m|); entries outside the blocks are zero in m
-    and in m+, so this is the dense defect.  A NaN anywhere fails it.
+    data is (n_matrices, n_entries), one matrix's entries per row, and
+    data[:, mirror] holds each entry's transposed partner in its place (for a
+    dense matrix, the entries of its transpose; for sector blocks, the same
+    blocks transposed).  The check is per matrix, max|m - m+| over all its
+    entries against HERMITIAN_TOL * max(1, max|m|); entries left out are zero
+    in m and in m+, so this is the dense defect.  A NaN anywhere fails it.
     """
-    asym = np.max([abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)) for s in stacks], 0)
-    scale = np.max([abs(s).max(axis=(1, 2, 3)) for s in stacks], 0)
+    asym = abs(data - data[:, mirror].conj()).max(axis=1)
+    scale = abs(data).max(axis=1)
     bad = np.flatnonzero(~(asym <= HERMITIAN_TOL * np.maximum(1.0, scale)))
     if bad.size:
         raise NonHermitianInput(
@@ -204,11 +207,12 @@ def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
     """Unitary exp(-i * matrix * t) of a Hermitian matrix, as one dense block.
 
     The test oracle for propagation: the whole matrix goes through
-    `_check_hermitian` and `_block_expm`, so both checks apply to it.
+    `_check_hermitian`, against its transpose, and `_block_expm`, so both
+    checks apply to it.
     """
-    stack = [matrix[None, None]]
-    _check_hermitian(stack)
-    return _block_expm(stack, t)[0][0, 0]
+    size = matrix.shape[-1]
+    _check_hermitian(matrix.reshape(1, -1), np.arange(size * size).reshape(size, size).T.ravel())
+    return _block_expm([matrix[None, None]], t)[0][0, 0]
 
 
 def expm(h: FockOperator, t: float) -> FockOperator:

@@ -57,12 +57,11 @@ def _check_visibility_routes() -> CheckResult:
     omega = 2.62e10
     temp = HBAR * omega / (2.0 * K_B * 0.7)
     bath = BathSpec(omega_phonon=omega, temperature=temp, omega_c=omega)
-    worst = 0.0
-    for k in (1, 3):
-        for x in np.linspace(0.0, math.pi, 97):
-            worst = max(
-                worst, abs(visibility_closed(bath, x, k) - visibility_direct(bath, x, k))
-            )
+    xs = np.linspace(0.0, math.pi, 97)
+    worst = max(
+        float(np.max(abs(visibility_closed(bath, xs, k) - visibility_direct(bath, xs, k))))
+        for k in (1, 3)
+    )
     return CheckResult("visibility-closed-vs-direct", worst <= 1e-10, f"max |diff| = {worst:.3e}")
 
 

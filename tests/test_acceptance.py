@@ -386,6 +386,7 @@ def test_criterion_12_reruns_are_byte_identical(tmp_path):
     assert rerun("fig2", "fig2", "--steps", "11", "--x-max", "30")
     assert rerun("design", "design")
     assert rerun("validate", "validate", "--level", "fast")
+    assert rerun("validate-full", "validate", "--level", "full")
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "[grid]\nzeta = 0.2, 0.4, 0.6\np = 0, 1\n"

@@ -1,5 +1,6 @@
 """Joint system-bath propagation and pulse-protected evolution."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from ngfiber.errors import (
 from ngfiber.fock import (
     FockOperator,
     FockSpace,
+    _check_hermitian,
     annihilation,
     expm_hermitian,
     number_operator,
@@ -319,6 +321,44 @@ def test_hermiticity_is_checked_per_segment_hamiltonian():
             bb.propagate_free(pair, 0.1, psi0)
         with pytest.raises(NonHermitianInput):
             bb.propagate_bb(pair, 0.1, psi0, pi)
+
+
+@pytest.mark.parametrize("cut, modes, s_cut", [(3, 1, 2), (4, 2, 1), (6, 1, 3)])
+def test_mirror_defect_is_the_per_block_defect(cut, modes, s_cut):
+    # the layout's mirror sends each block entry (i, j) to (j, i), so one gather
+    # over the flat vectors gives the defect the blocks would, NaN included
+    layout = bb._sector_layout(cut, modes, s_cut)
+    space = FockSpace(cut)
+    bath = bb.ToyBath(modes, (1.0,) * modes, (0.3,) * modes, (0.0,) * modes, (0.0,) * modes,
+                      s_cut=s_cut)
+    rows, cols = bb.build_hamiltonian(space, bath).entries()
+    assert np.array_equal(rows[layout.mirror], cols) and np.array_equal(cols[layout.mirror], rows)
+    rng = np.random.default_rng(cut)
+    data = rng.normal(size=(6, layout.size)) + 1j * rng.normal(size=(6, layout.size))
+    data[1] = data[1] + data[1, layout.mirror].conj()
+    data[2, rng.integers(layout.size)] = NAN
+    data[3, rng.integers(layout.size)] = complex(0.0, NAN)
+    data[4] = data[1] + 1e-13 * data[4]
+    stacks = [
+        data[:, off : off + idx.size * idx.shape[1]].reshape(len(data), *idx.shape, -1)
+        for idx, off in layout.groups
+    ]
+    asym = np.max([abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)) for s in stacks], 0)
+    assert asym[1] == 0.0 and np.isnan(asym[2:4]).all()
+    gathered = abs(data - data[:, layout.mirror].conj()).max(axis=1)
+    assert np.array_equal(gathered, asym, equal_nan=True)
+    for m in range(len(data)):
+        scale = np.max([abs(s[m]).max() for s in stacks])
+        if asym[m] <= 1e-12 * max(1.0, scale):
+            _check_hermitian(data[m : m + 1], layout.mirror)
+            assert m in (1, 4)
+        else:
+            with pytest.raises(NonHermitianInput, match=re.escape(f"defect {asym[m]:.3e} in")):
+                _check_hermitian(data[m : m + 1], layout.mirror)
+    with pytest.raises(NonHermitianInput, match=re.escape(f"defect {asym[0]:.3e} in matrix 0")):
+        _check_hermitian(data, layout.mirror)
+    with pytest.raises(NonHermitianInput, match=re.escape(f"defect {asym[2]:.3e} in matrix 1")):
+        _check_hermitian(data[[1, 2, 4]], layout.mirror)
 
 
 def joint_sectors(space, bath):

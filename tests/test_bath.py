@@ -154,6 +154,36 @@ def test_visibility_routes_agree():
                 assert abs(direct - closed) < 1e-10
 
 
+@pytest.mark.parametrize("temp", [0.2, 4.0])
+@pytest.mark.parametrize("k", [1, 3])
+def test_visibility_over_an_x_array_is_its_scalar_calls(temp, k):
+    # validate checks the two routes over a whole x grid in one call each
+    bath = make_bath(temp)
+    xs = np.concatenate([np.linspace(0.0, math.pi, 97), [-2.5, 7.1, 1e3]])
+    for visibility in (visibility_direct, visibility_closed):
+        grid = visibility(bath, xs, k)
+        assert grid.shape == xs.shape
+        assert np.array_equal(grid, [visibility(bath, float(x), k) for x in xs])
+        assert np.array_equal(visibility(bath, xs.reshape(4, 25), k), grid.reshape(4, 25))
+        for x in (0.7, np.float64(0.7), np.array(0.7)):
+            assert type(visibility(bath, x, k)) is float
+
+
+def test_direct_visibility_over_too_many_cells_is_refused_before_allocating(monkeypatch):
+    # at 300 K the cut keeps 62 132 levels; 68 x values need 4.2e6 cells
+    bath = make_bath(300.0)
+    levels = gibbs_weights(bath)[1] + 1
+    xs = np.linspace(0.0, 1.0, GIBBS_MAX_LEVELS // levels + 1)
+    assert visibility_direct(bath, xs[:-1], 1).shape == (xs.size - 1,)
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("exp ran")
+
+    monkeypatch.setattr(np, "exp", no_exp)
+    with pytest.raises(GibbsLevelsExceeded, match=f"{xs.size} x values times {levels} Gibbs"):
+        visibility_direct(bath, xs, 1)
+
+
 def test_visibility_periodicity():
     bath = make_bath(0.3)
     for k in (1, 2, 5):
@@ -264,6 +294,58 @@ def test_dissipation_quadrature_edge_cases():
         dissipation_rate_closed(0.0, 1.0)
 
 
+@pytest.mark.parametrize("temp", [0.0, 0.2, 4.0, 300.0])
+@pytest.mark.parametrize("x", [1e3, 5e3, 1.5e4])
+def test_quadrature_matches_closed_rate_at_large_x(temp, x):
+    # one-period panels: about x * 35 / 2 pi of them at T = 0
+    bath = make_bath(temp)
+    tau = x / bath.omega_c
+    assert_allclose(dissipation_rate_quadrature(bath, tau), dissipation_rate(bath, tau), rtol=1e-10)
+
+
+def _no_linspace(*args, **kwargs):
+    raise AssertionError("linspace ran")
+
+
+def test_quadrature_refusal_boundary_at_zero_temperature(monkeypatch):
+    # the cap admits x = 2.35e4 at T = 0 and refuses 2.36e4, before allocating
+    bath = make_bath(0.0)
+    counts = []
+    linspace = np.linspace
+
+    def spy(start, stop, num, *args, **kwargs):
+        counts.append(num - 1)
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", spy)
+    tau = 2.35e4 / bath.omega_c
+    assert_allclose(dissipation_rate_quadrature(bath, tau), dissipation_rate(bath, tau), rtol=1e-10)
+    assert 0.99 * bath_mod._MAX_PANELS < max(counts) <= bath_mod._MAX_PANELS
+    monkeypatch.setattr(np, "linspace", _no_linspace)
+    with pytest.raises(QuadratureNonConvergence, match="exceed 131072"):
+        dissipation_rate_quadrature(bath, 2.36e4 / bath.omega_c)
+
+
+def test_non_finite_tau_is_refused_or_on_the_plateau(monkeypatch):
+    monkeypatch.setattr(np, "linspace", _no_linspace)
+    wc = 2.62e10
+    for temp in (0.0, 4.0):
+        bath = make_bath(temp)
+        for rate in (dissipation_rate_quadrature, dissipation_rate):
+            with pytest.raises(ParameterError, match="tau_l must be >= 0"):
+                rate(bath, math.nan)
+        # a panel count past the float range, or a width of 0, is past the cap
+        for tau in (1e300, math.inf):
+            with pytest.raises(QuadratureNonConvergence, match="exceed 131072"):
+                dissipation_rate_quadrature(bath, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(dissipation_rate(bath, math.inf), plateau_rate(temp), rtol=1e-12)
+    with pytest.raises(ParameterError, match="tau_l must be >= 0"):
+        dissipation_rate_closed(wc, math.nan)
+    assert dissipation_rate_closed(wc, math.inf) == wc * wc
+
+
 def test_quadrature_refuses_when_its_orders_never_agree(monkeypatch):
     monkeypatch.setattr(bath_mod, "_panel_integral", lambda f, upper, width, order: order)
     with pytest.raises(QuadratureNonConvergence, match="failed to stabilize"):
@@ -331,16 +413,24 @@ def test_dissipation_rate_at_zero_temperature_is_closed_form(x):
     assert dissipation_rate(make_bath(0.0), x / wc) == dissipation_rate_closed(wc, x / wc)
 
 
+def plateau_rate(temp: float, wc: float = 2.62e10) -> float:
+    """The x -> infinity rate: omega_c^2 at T = 0, else 2 psi'(u) / b^2 - omega_c^2 at 40 digits.
+
+    Every Re (a_k - i tau)^-2 vanishes in the limit; u = kB T / hbar omega_c.
+    """
+    if temp == 0.0:
+        return wc * wc
+    with mpmath.workdps(40):
+        u = mpmath.mpf(K_B) * temp / (mpmath.mpf(HBAR) * wc)
+        return float(2 * mpmath.psi(1, u) * (u * wc) ** 2 - mpmath.mpf(wc) ** 2)
+
+
 @pytest.mark.parametrize("temp", [0.0, 4.0])
 def test_dissipation_rate_stays_on_the_plateau_up_to_x_1e300(temp):
     # the closed form's products overflow from x ~ 1e72 and _power_gap's t^2
     # from x ~ 1e153; the rate must stay finite, silent and on the plateau
     wc = 2.62e10
-    plateau = wc * wc
-    if temp:
-        with mpmath.workdps(40):
-            u = mpmath.mpf(K_B) * temp / (mpmath.mpf(HBAR) * wc)
-            plateau = float(2 * mpmath.psi(1, u) * (u * wc) ** 2 - mpmath.mpf(wc) ** 2)
+    plateau = plateau_rate(temp)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bath = make_bath(temp)
@@ -351,9 +441,5 @@ def test_dissipation_rate_stays_on_the_plateau_up_to_x_1e300(temp):
 
 @pytest.mark.parametrize("temp", [1e-3, 0.2, 4.0, 300.0])
 def test_dissipation_rate_plateau(temp):
-    # x -> infinity: every Re (a_k - i tau)^-2 vanishes, leaving 2 psi'(u) / b^2 - omega_c^2
     wc = 2.62e10
-    with mpmath.workdps(40):
-        u = mpmath.mpf(K_B) * temp / (mpmath.mpf(HBAR) * wc)
-        plateau = float(2 * mpmath.psi(1, u) * (u * wc) ** 2 - mpmath.mpf(wc) ** 2)
-    assert_allclose(dissipation_rate(make_bath(temp), 1e12 / wc), plateau, rtol=1e-12)
+    assert_allclose(dissipation_rate(make_bath(temp), 1e12 / wc), plateau_rate(temp), rtol=1e-12)

@@ -180,7 +180,8 @@ def test_silica_preset_spacing_misses_its_budget_at_its_own_temperature():
 
 def test_silica_preset_finite_temperature_rate_completes():
     # x = omega_c tau_l = 1.4e5: the closed-form rate finishes where the
-    # quadrature would need 6.2 M panels and refuses before allocating them
+    # quadrature would need about 0.78 M panels, past its cap of 131 072, and
+    # refuses before allocating them
     _, bath, params = silica_preset()
     with mpmath.workdps(40):
         a = 1 / mpmath.mpf(bath.omega_c)
